@@ -124,6 +124,33 @@ fn fault_free_table2_matches_pre_fault_injection_golden() {
     );
 }
 
+/// Fig. 7 folds usemem `alloc:<MiB>` → `block:<MiB>` spans into bars; the
+/// golden pins that fold's rendered output.
+#[test]
+fn fig7_matches_golden() {
+    let fig = figures::fig7(&cfg(2), 2);
+    assert_eq!(
+        report::render_bars(&fig),
+        golden("fig7_s0.01_seed20260806_reps2.txt"),
+        "fig7 usemem-span bars drifted from the golden"
+    );
+}
+
+/// Fig. 4 records per-interval occupancy and target series; the golden
+/// pins every CSV byte of that fold.
+#[test]
+fn fig4_series_csv_matches_golden() {
+    let fig = figures::fig4(&cfg(2));
+    let dir = std::env::temp_dir().join("smartmem-golden-fig4");
+    let path = report::write_series_csv(&fig, &dir).unwrap();
+    let csv = fs::read_to_string(path).unwrap();
+    let _ = fs::remove_dir_all(dir);
+    assert!(
+        csv == golden("fig4_s0.01_seed20260806.csv"),
+        "fig4 series CSV drifted from the golden"
+    );
+}
+
 /// Batched control-plane delivery must be invisible: same-tick events now
 /// drain from the heap as one batch and an interval's VIRQ snapshots cross
 /// to the relay in one call, so the pre-batch goldens pin the output. With
