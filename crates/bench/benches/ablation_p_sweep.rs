@@ -2,7 +2,7 @@
 //! Scenario 2 — the paper finds different optima (0.75% vs 6%), and this
 //! harness shows the whole curve.
 
-use scenarios::figures::running_time_groups;
+use scenarios::figures::{completion_bars, running_time_groups};
 use scenarios::spec::ScenarioKind;
 use smartmem_core::PolicyKind;
 
@@ -14,7 +14,7 @@ fn main() {
     for kind in [ScenarioKind::Scenario1, ScenarioKind::Scenario2] {
         println!("--- {} ---", kind.name());
         let policies: Vec<PolicyKind> = ps.iter().map(|&p| PolicyKind::SmartAlloc { p }).collect();
-        let groups = running_time_groups(kind, &policies, &cfg, reps);
+        let groups = running_time_groups(kind, &policies, &cfg, reps, completion_bars);
         for g in &groups {
             let mean: f64 =
                 g.bars.iter().map(|b| b.mean_s).sum::<f64>() / g.bars.len().max(1) as f64;

@@ -4,42 +4,47 @@
 //! smartmem-cli table2 [--scale S]
 //! smartmem-cli fig <3|4|5|6|7|8|9|10> [--scale S] [--reps N] [--seed S] [--out DIR] [--jobs N]
 //! smartmem-cli all [--scale S] [--reps N] [--out DIR] [--jobs N]
-//! smartmem-cli run <SCENARIO> <policy> [--scale S] [--seed S]
+//! smartmem-cli run <SCENARIO> <policy> [--scale S] [--seed S] [--chaos PROFILE]
 //! smartmem-cli chaos [--scale S] [--seed S] [--out DIR] [--jobs N] [--bound X]
 //! smartmem-cli bench-parallel [--scale S] [--reps N] [--seed S] [--out DIR] [--jobs N]
 //! smartmem-cli bench-fleet [--scale S] [--seed S] [--out DIR] [--jobs N]
-//! smartmem-cli bench-cluster [--scale S] [--seed S] [--out DIR] [--jobs N]
 //! smartmem-cli trace <SCENARIO> <policy> [--scale S] [--seed S] [--chaos PROFILE] [--out trace.jsonl] [--filter subsys=a,b]
 //! smartmem-cli inspect <trace.jsonl>
 //! smartmem-cli run-file <scenario.toml> [POLICY ...] [--scale S] [--seed S] [--reps N] [--chaos P]
 //! smartmem-cli sweep <manifest.toml> [--resume DIR] [--jobs N] [--stop-after N]
 //! ```
 //!
+//! `fig` and `all` draw Figs. 3–10 from the one figure table,
+//! [`scenarios::figures::FIGURES`].
+//!
 //! `SCENARIO` is one of the Table II cells — `scenario1`, `scenario2`,
 //! `usemem`, `scenario3` — or a parameterized fleet cell:
 //! `fleet:<vms>[:<footprint_mb>[:<mix>[:<gap_ms>]]]`, e.g. `fleet:64`,
 //! `fleet:32:256:paging`, `fleet:16:128:balanced:0` (gap 0 = simultaneous
-//! arrivals). Mixes: `balanced`, `analytics`, `serving`, `paging`. For
-//! `run` and `trace` the VM count may be `<hosts>x<vms>` (`fleet:2x32`):
-//! the cell then runs as a multi-host cluster — tmem sharded across the
-//! hosts, the fleet scheduler migrating VMs at its default tunables —
-//! and prints the fleet report. `trace` on a cluster cell replay-verifies
-//! every host's stream (migration events included) and `--out FILE`
-//! writes host 0 to FILE and host N to `FILE.hostN`. Scenario files can
-//! declare richer topologies (interconnect preset, far tier, scheduler
-//! thresholds) in a `[cluster]` table; `bench-cluster` sweeps hosts×VMs
-//! cells and records the fleet metrics in `BENCH_fleet.json`.
+//! arrivals). Mixes: `balanced`, `analytics`, `serving`, `paging`. The VM
+//! count may be `<hosts>x<vms>` (`fleet:2x32`): the cell then runs as a
+//! multi-host cluster — tmem sharded across the hosts, the fleet
+//! scheduler migrating VMs at its default tunables — and `run`/`trace`
+//! print the fleet report. Every `run`/`trace` cell goes through
+//! `run_cluster`; any other spelling is the one-host cluster. `trace`
+//! replay-verifies every host's stream (migration events included) and
+//! `--out FILE` writes host 0 to FILE and host N to `FILE.hostN`. Scenario
+//! files can declare richer topologies (interconnect preset, far tier,
+//! scheduler thresholds) in a `[cluster]` table.
 //!
 //! Policies: `no-tmem`, `greedy`, `static-alloc`, `reconf-static`,
 //! `smart-alloc:<P>` (e.g. `smart-alloc:0.75`), `predictive`.
 //!
-//! `bench-fleet` sweeps the fleet family at 8/16/32/64 VMs and writes
-//! `BENCH_fleet.json`: wall-clock and peak RSS versus VM count, with
-//! per-VM occupancy/slowdown figures. `--scale` sizes the per-VM footprint
-//! off the 512 MiB headline cell (default 0.125 → 64 MiB — a smoke pass;
-//! use `--scale 1` for the headline numbers). The simulation itself always
-//! runs at time scale 1 (1 s sampling), because fleet cells are not
-//! resized by `RunConfig::scale`.
+//! `bench-fleet` runs one measured loop over the fleet topologies — the
+//! single-host fleet family at 8/16/32/64 VMs and the 1x8/2x8/2x16/2x32
+//! cluster cells with the far tier and migration on — and writes
+//! `BENCH_fleet.json`: wall-clock and peak RSS per cell, per-VM
+//! occupancy/slowdown figures for the fleet cells (`cells`) and the fleet
+//! metrics for the cluster cells (`cluster_cells`). `--scale` sizes the
+//! per-VM footprint off the 512 MiB headline cell (default 0.125 → 64 MiB
+//! — a smoke pass; use `--scale 1` for the headline numbers). The
+//! simulation itself always runs at time scale 1 (1 s sampling), because
+//! fleet cells are not resized by `RunConfig::scale`.
 //!
 //! `--jobs N` sets the number of worker threads the experiment grids fan
 //! out over (default: all available cores). Output is byte-identical at
@@ -67,7 +72,7 @@
 //!
 //! `trace` runs one cell with the flight recorder attached, replays the
 //! event stream through the [`scenarios::trace_check`] verifier, prints
-//! the metrics registry and replay verdict, and (with `--out`) writes the
+//! each host's metrics registry and the replay verdict, and (with `--out`) writes the
 //! trace as JSONL. `--filter subsys=tmem,mm` restricts the *written* file
 //! to those subsystems; the recorder always records (and the verifier
 //! always replays) everything. `inspect` reads a JSONL trace back and
@@ -80,10 +85,8 @@ use scenarios::config::RunConfig;
 use scenarios::dsl;
 use scenarios::figures;
 use scenarios::report;
-use scenarios::runner::{
-    run_cluster, run_scenario, run_spec, ClusterConfig, ClusterResult, RunResult,
-};
-use scenarios::spec::{build_scenario, FleetParams, ScenarioKind};
+use scenarios::runner::{run_cluster, ClusterConfig, ClusterResult, RunResult};
+use scenarios::spec::{build_scenario, FleetParams, ScenarioKind, ScenarioSpec};
 use sim_core::faults::{NetlinkFate, SampleFate};
 use sim_core::trace::{
     self, FaultKind, Payload, PutResult, Subsystem, TraceConfig, TraceData, TraceHeader,
@@ -210,20 +213,6 @@ fn run_config(a: &Args) -> Result<RunConfig, String> {
     Ok(cfg)
 }
 
-// The positional-argument vocabulary is the declarative DSL's shared
-// vocabulary (`scenarios::dsl`): policy names, mixes and `fleet:` specs
-// mean exactly the same thing on the command line and in a `.toml` file.
-
-fn parse_policy(s: &str) -> Result<PolicyKind, String> {
-    dsl::parse_policy(s)
-}
-
-/// Cluster-aware scenario vocabulary: `fleet:<hosts>x<vms>[:...]` yields a
-/// host count > 1; every other spelling is the classic single host.
-fn parse_scenario_cluster(s: &str) -> Result<(ScenarioKind, usize), String> {
-    dsl::parse_kind_cluster(s)
-}
-
 /// The topology a bare `fleet:<hosts>x<vms>` CLI cell runs: sharded pools
 /// on the datacenter interconnect with the fleet scheduler at its default
 /// tunables and no far tier. Files wanting presets/far/thresholds declare
@@ -236,50 +225,69 @@ fn default_cluster(hosts: usize) -> ClusterConfig {
     }
 }
 
-/// Build the (renamed) spec for a cluster cell.
-fn cluster_spec(
-    kind: ScenarioKind,
-    hosts: usize,
-    cfg: &RunConfig,
-) -> scenarios::spec::ScenarioSpec {
+/// One (scenario × policy) cell of `run` or `trace`. Every cell runs
+/// through `run_cluster`: a Table II or `fleet:<vms>` spelling is the
+/// one-host cluster — the same run as `run_spec` — and
+/// `fleet:<hosts>x<vms>` the default multi-host topology.
+struct Cell {
+    spec: ScenarioSpec,
+    policy: PolicyKind,
+    cfg: RunConfig,
+    cluster: ClusterConfig,
+    args: Args,
+}
+
+/// Parse `<SCENARIO> <POLICY> [flags]` for `cmd` into a [`Cell`], with
+/// `--chaos` applied to the run config. Scenario and policy spellings are
+/// the DSL's (`scenarios::dsl`), so they mean the same on the command line
+/// and in a `.toml` file.
+fn parse_cell(cmd: &str, rest: &[String]) -> Result<Cell, String> {
+    let (scenario, rest) = rest
+        .split_first()
+        .ok_or_else(|| format!("{cmd} needs a scenario"))?;
+    let (policy, rest) = rest
+        .split_first()
+        .ok_or_else(|| format!("{cmd} needs a policy"))?;
+    let (kind, hosts) = dsl::parse_kind_cluster(scenario)?;
+    let policy = dsl::parse_policy(policy)?;
+    let args = parse_flags(rest)?;
+    let mut cfg = run_config(&args)?;
+    if let Some(p) = &args.chaos {
+        cfg.faults = p.profile.clone();
+    }
+    Ok(Cell {
+        spec: cluster_spec(kind, hosts, &cfg),
+        policy,
+        cfg,
+        cluster: default_cluster(hosts),
+        args,
+    })
+}
+
+/// Build the spec of a `hosts`-host cell (renamed when `hosts > 1`).
+fn cluster_spec(kind: ScenarioKind, hosts: usize, cfg: &RunConfig) -> ScenarioSpec {
     let mut spec = build_scenario(kind, cfg);
     spec.name = dsl::cluster_scenario_name(&spec.name, hosts);
     spec
 }
 
-fn emit_bars(fig: figures::FigureData, out: &Option<PathBuf>) -> Result<(), String> {
-    print!("{}", report::render_bars(&fig));
-    if let Some(dir) = out {
-        let p = report::write_bars_csv(&fig, dir)
-            .map_err(|e| format!("writing {} CSV under {}: {e}", fig.id, dir.display()))?;
+/// The paper figure `fig <n>` names.
+fn figure_def(n: &str) -> Result<&'static figures::FigureDef, String> {
+    let n: u32 = n.parse().map_err(|e| format!("figure number: {e}"))?;
+    figures::find(&format!("fig{n}"))
+        .ok_or_else(|| format!("no figure {n} in the paper's evaluation"))
+}
+
+/// Produce one paper figure, print it and (with `--out`) write its CSV.
+fn figure(def: &figures::FigureDef, a: &Args) -> Result<(), String> {
+    let fig = figures::produce(def, &run_config(a)?, a.reps);
+    print!("{}", report::render_figure(&fig));
+    if let Some(dir) = &a.out {
+        let p = report::write_figure_csv(&fig, dir)
+            .map_err(|e| format!("writing {} CSV under {}: {e}", def.id, dir.display()))?;
         println!("csv: {}", p.display());
     }
     Ok(())
-}
-
-fn emit_series(fig: figures::SeriesFigure, out: &Option<PathBuf>) -> Result<(), String> {
-    print!("{}", report::render_series(&fig, 24));
-    if let Some(dir) = out {
-        let p = report::write_series_csv(&fig, dir)
-            .map_err(|e| format!("writing {} CSV under {}: {e}", fig.id, dir.display()))?;
-        println!("csv: {}", p.display());
-    }
-    Ok(())
-}
-
-fn figure(n: u32, a: &Args) -> Result<(), String> {
-    let cfg = run_config(a)?;
-    match n {
-        3 => emit_bars(figures::fig3(&cfg, a.reps), &a.out),
-        4 => emit_series(figures::fig4(&cfg), &a.out),
-        5 => emit_bars(figures::fig5(&cfg, a.reps), &a.out),
-        6 => emit_series(figures::fig6(&cfg), &a.out),
-        7 => emit_bars(figures::fig7(&cfg, a.reps), &a.out),
-        8 => emit_series(figures::fig8(&cfg), &a.out),
-        9 => emit_bars(figures::fig9(&cfg, a.reps), &a.out),
-        10 => emit_series(figures::fig10(&cfg), &a.out),
-        other => Err(format!("no figure {other} in the paper's evaluation")),
-    }
 }
 
 fn main() -> ExitCode {
@@ -288,7 +296,7 @@ fn main() -> ExitCode {
         Some((cmd, rest)) => dispatch(cmd, rest),
         None => Err(
             "usage: smartmem-cli <table2|fig N|all|run SCENARIO POLICY|chaos|\
-             bench-parallel|bench-fleet|bench-cluster|trace SCENARIO POLICY|\
+             bench-parallel|bench-fleet|trace SCENARIO POLICY|\
              inspect FILE|run-file FILE [POLICY ...]|sweep MANIFEST> [flags]"
                 .into(),
         ),
@@ -306,14 +314,9 @@ fn main() -> ExitCode {
 /// `bench-parallel` end-to-end comparison. No printing, no CSV: only the
 /// simulation work itself is measured.
 fn compute_all(cfg: &RunConfig, reps: u64) {
-    std::hint::black_box(figures::fig3(cfg, reps));
-    std::hint::black_box(figures::fig4(cfg));
-    std::hint::black_box(figures::fig5(cfg, reps));
-    std::hint::black_box(figures::fig6(cfg));
-    std::hint::black_box(figures::fig7(cfg, reps));
-    std::hint::black_box(figures::fig8(cfg));
-    std::hint::black_box(figures::fig9(cfg, reps));
-    std::hint::black_box(figures::fig10(cfg));
+    for def in figures::FIGURES {
+        std::hint::black_box(figures::produce(def, cfg, reps));
+    }
 }
 
 /// Paired steady-state micro harness. Each closure owns its long-lived
@@ -550,9 +553,25 @@ fn bench_parallel(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `bench-fleet`: wall-clock and peak RSS versus VM count over the fleet
-/// scenario family (8/16/32/64 VMs), with per-VM occupancy/slowdown
-/// figures. Writes `BENCH_fleet.json`.
+/// `bench-fleet` cells as `(hosts, vms, cluster)`, in ascending VM order
+/// because peak RSS is a process high-water mark.
+const FLEET_TOPOLOGIES: [(usize, u32, bool); 8] = [
+    (1, 8, false),
+    (1, 8, true),
+    (2, 8, true),
+    (1, 16, false),
+    (2, 16, true),
+    (1, 32, false),
+    (2, 32, true),
+    (1, 64, false),
+];
+
+/// `bench-fleet`: wall-clock and peak RSS over the single-host fleet cells
+/// (with per-VM occupancy/slowdown figures) and the cluster cells, which
+/// run the fleet scheduler at its default tunables with a per-host far
+/// tier sized to a quarter of the host's tmem shard (migrations, downtime,
+/// cross-host traffic, stranded memory). Writes both lists to
+/// `BENCH_fleet.json`.
 fn bench_fleet(a: &Args) -> Result<(), String> {
     use smartmem_bench::measure::measure;
 
@@ -569,36 +588,87 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
     };
     cfg.validate()?;
 
-    println!("== bench-fleet — wall-clock and peak RSS vs VM count ==");
+    println!("== bench-fleet — wall-clock, peak RSS and fleet metrics vs hosts x VMs ==");
     println!(
         "footprint {footprint_mb} MiB/VM, balanced mix, 250 ms staggered arrivals, \
-         policy smart-alloc:2"
+         policy smart-alloc:2; cluster cells: datacenter interconnect, migration on, \
+         far tier = 1/4 of each host's shard"
     );
     println!(
-        "(peak RSS is the process high-water mark, so cells run in ascending order \
+        "(peak RSS is the process high-water mark, so cells run in ascending VM order \
          and each reading is the peak through that cell)"
     );
 
     let mut cells_json = Vec::new();
-    for vms in [8u32, 16, 32, 64] {
+    let mut cluster_json = Vec::new();
+    for (hosts, vms, is_cluster) in FLEET_TOPOLOGIES {
         let params = FleetParams {
             vms,
             footprint_mb,
             ..FleetParams::default()
         };
-        let kind = ScenarioKind::Scenario5(params);
-        let sessions = build_scenario(kind, &cfg).logical_sessions();
-        let m = measure(|| run_scenario(kind, policy, &cfg));
-        let r = &m.value;
+        let spec = cluster_spec(ScenarioKind::Scenario5(params), hosts, &cfg);
+        let mut cluster = default_cluster(hosts);
+        if is_cluster {
+            cluster.far = Some(FarConfig {
+                capacity_pages: (spec.tmem_pages() / hosts as u64 / 4).max(1),
+            });
+        }
+        let scenario = spec.name.clone();
+        let sessions = spec.logical_sessions();
+        let m = measure(|| run_cluster(spec, policy, &cfg, &cluster));
+        let cr = &m.value;
         let wall_s = m.wall.as_secs_f64();
         let rss_mib = m.peak_rss_kb.map_or(f64::NAN, |kb| kb as f64 / 1024.0);
+        let events = cr.host_results[0].events;
+        let sim_end_s = cr
+            .host_results
+            .iter()
+            .map(|r| r.end_time.as_secs_f64())
+            .fold(0.0, f64::max);
+        let truncated = cr.host_results.iter().any(|r| r.truncated);
+        // The fields both cell lists record.
+        let common = format!(
+            "\"vms\": {vms},\n      \"scenario\": \"{scenario}\",\n      \
+             \"wall_s\": {wall_s:.3},\n      \"peak_rss_kb\": {},\n      \
+             \"events\": {events},\n      \"sim_end_s\": {sim_end_s:.3},\n      \
+             \"truncated\": {truncated}",
+            m.peak_rss_kb
+                .map_or("null".to_string(), |kb| kb.to_string()),
+        );
+        if is_cluster {
+            let f = &cr.fleet;
+            println!(
+                "cluster {hosts}x{vms:<3}: wall {wall_s:7.2} s  peak RSS {rss_mib:8.1} MiB  \
+                 migrations {:>3} (downtime {})  cross-host {} transfers / {} pages  \
+                 stranded {}{}",
+                f.migrations,
+                f.migration_downtime,
+                f.cross_host_transfers,
+                f.cross_host_pages,
+                f.stranded_page_intervals,
+                if truncated { "  TRUNCATED" } else { "" },
+            );
+            cluster_json.push(format!(
+                "    {{\n      \"hosts\": {hosts},\n      {common},\n      \
+                 \"migrations\": {},\n      \"migration_downtime_ns\": {},\n      \
+                 \"cross_host_transfers\": {},\n      \"cross_host_pages\": {},\n      \
+                 \"net_queue_wait_ns\": {},\n      \"stranded_page_intervals\": {}\n    }}",
+                f.migrations,
+                f.migration_downtime.as_nanos(),
+                f.cross_host_transfers,
+                f.cross_host_pages,
+                f.net_queue_wait.as_nanos(),
+                f.stranded_page_intervals,
+            ));
+            continue;
+        }
+
+        let r = &cr.host_results[0];
         println!(
             "fleet {vms:>3} VMs: wall {wall_s:7.2} s  peak RSS {rss_mib:8.1} MiB  \
-             events {:>12}  sessions {:>12}  sim end {:.0} s{}",
-            r.events,
-            sessions,
-            r.end_time.as_secs_f64(),
-            if r.truncated { "  TRUNCATED" } else { "" },
+             events {events:>12}  sessions {sessions:>12}  sim end {sim_end_s:.0} s{}",
+            if truncated { "  TRUNCATED" } else { "" },
         );
 
         // Per-VM occupancy and slowdown. Slowdown is each VM's total
@@ -658,120 +728,9 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
             ));
         }
         cells_json.push(format!(
-            "    {{\n      \"vms\": {vms},\n      \"scenario\": \"{}\",\n      \
-             \"wall_s\": {wall_s:.3},\n      \"peak_rss_kb\": {},\n      \
-             \"events\": {},\n      \"sim_end_s\": {:.3},\n      \
-             \"truncated\": {},\n      \"logical_sessions\": {sessions},\n      \
+            "    {{\n      {common},\n      \"logical_sessions\": {sessions},\n      \
              \"per_vm\": [\n{}\n      ]\n    }}",
-            r.scenario,
-            m.peak_rss_kb
-                .map_or("null".to_string(), |kb| kb.to_string()),
-            r.events,
-            r.end_time.as_secs_f64(),
-            r.truncated,
             per_vm_json.join(",\n")
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"host\": {{ \"available_cores\": {} }},\n  \"config\": {{ \"scale\": {}, \
-         \"footprint_mb\": {footprint_mb}, \"seed\": {}, \"jobs\": {}, \
-         \"policy\": \"smart-alloc:2\", \"mix\": \"balanced\", \"arrival_gap_ms\": 250 }},\n  \
-         \"note\": \"peak_rss_kb is the process-lifetime high-water mark (VmHWM); cells run \
-         in ascending VM order, so each reading is the peak through that cell\",\n  \
-         \"cells\": [\n{}\n  ]\n}}\n",
-        scenarios::par::default_jobs(),
-        a.scale,
-        a.seed,
-        a.jobs,
-        cells_json.join(",\n")
-    );
-    let dir = a.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let path = dir.join("BENCH_fleet.json");
-    std::fs::write(&path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-    println!("perf record: {}", path.display());
-    Ok(())
-}
-
-/// `bench-cluster`: the multi-host fleet cells — wall-clock, peak RSS and
-/// the fleet metrics (migrations, downtime, cross-host traffic, stranded
-/// memory) over hosts×VMs topologies, recorded in `BENCH_fleet.json`.
-/// Every cell runs the fleet scheduler at its default tunables with a
-/// per-host far tier sized to a quarter of the host's tmem shard.
-fn bench_cluster(a: &Args) -> Result<(), String> {
-    use smartmem_bench::measure::measure;
-
-    let footprint_mb = ((512.0 * a.scale).round() as u32).max(8);
-    let policy = PolicyKind::SmartAlloc { p: 2.0 };
-    let cfg = RunConfig {
-        seed: a.seed,
-        jobs: a.jobs,
-        ..RunConfig::default()
-    };
-    cfg.validate()?;
-
-    println!("== bench-cluster — fleet metrics vs hosts x VMs ==");
-    println!(
-        "footprint {footprint_mb} MiB/VM, balanced mix, 250 ms staggered arrivals, \
-         policy smart-alloc:2, datacenter interconnect, migration on, \
-         far tier = 1/4 of each host's shard"
-    );
-
-    let mut cells_json = Vec::new();
-    for (hosts, vms) in [(1usize, 8u32), (2, 8), (2, 16), (2, 32)] {
-        let params = FleetParams {
-            vms,
-            footprint_mb,
-            ..FleetParams::default()
-        };
-        let kind = ScenarioKind::Scenario5(params);
-        let spec = cluster_spec(kind, hosts, &cfg);
-        let cluster = ClusterConfig {
-            far: Some(FarConfig {
-                capacity_pages: (spec.tmem_pages() / hosts as u64 / 4).max(1),
-            }),
-            ..default_cluster(hosts)
-        };
-        let scenario = spec.name.clone();
-        let m = measure(|| run_cluster(spec, policy, &cfg, &cluster));
-        let cr = &m.value;
-        let f = &cr.fleet;
-        let wall_s = m.wall.as_secs_f64();
-        let rss_mib = m.peak_rss_kb.map_or(f64::NAN, |kb| kb as f64 / 1024.0);
-        let truncated = cr.host_results.iter().any(|r| r.truncated);
-        println!(
-            "cluster {hosts}x{vms:<3}: wall {wall_s:7.2} s  peak RSS {rss_mib:8.1} MiB  \
-             migrations {:>3} (downtime {})  cross-host {} transfers / {} pages  \
-             stranded {}{}",
-            f.migrations,
-            f.migration_downtime,
-            f.cross_host_transfers,
-            f.cross_host_pages,
-            f.stranded_page_intervals,
-            if truncated { "  TRUNCATED" } else { "" },
-        );
-        cells_json.push(format!(
-            "    {{\n      \"hosts\": {hosts},\n      \"vms\": {vms},\n      \
-             \"scenario\": \"{scenario}\",\n      \"wall_s\": {wall_s:.3},\n      \
-             \"peak_rss_kb\": {},\n      \"events\": {},\n      \
-             \"sim_end_s\": {:.3},\n      \"truncated\": {truncated},\n      \
-             \"migrations\": {},\n      \"migration_downtime_ns\": {},\n      \
-             \"cross_host_transfers\": {},\n      \"cross_host_pages\": {},\n      \
-             \"net_queue_wait_ns\": {},\n      \"stranded_page_intervals\": {}\n    }}",
-            m.peak_rss_kb
-                .map_or("null".to_string(), |kb| kb.to_string()),
-            cr.host_results[0].events,
-            cr.host_results
-                .iter()
-                .map(|r| r.end_time.as_secs_f64())
-                .fold(0.0, f64::max),
-            f.migrations,
-            f.migration_downtime.as_nanos(),
-            f.cross_host_transfers,
-            f.cross_host_pages,
-            f.net_queue_wait.as_nanos(),
-            f.stranded_page_intervals,
         ));
     }
 
@@ -781,14 +740,16 @@ fn bench_cluster(a: &Args) -> Result<(), String> {
          \"policy\": \"smart-alloc:2\", \"mix\": \"balanced\", \"arrival_gap_ms\": 250, \
          \"net\": \"datacenter\", \"migration\": \"default\", \
          \"far\": \"quarter-shard\" }},\n  \
-         \"note\": \"peak_rss_kb is the process-lifetime high-water mark (VmHWM); cells run \
-         in ascending order, so each reading is the peak through that cell\",\n  \
-         \"cluster_cells\": [\n{}\n  ]\n}}\n",
+         \"note\": \"net, migration and far apply to cluster_cells only; peak_rss_kb is the \
+         process-lifetime high-water mark (VmHWM); cells of both lists run in one ascending \
+         VM order, so each reading is the peak through that cell\",\n  \
+         \"cells\": [\n{}\n  ],\n  \"cluster_cells\": [\n{}\n  ]\n}}\n",
         scenarios::par::default_jobs(),
         a.scale,
         a.seed,
         a.jobs,
-        cells_json.join(",\n")
+        cells_json.join(",\n"),
+        cluster_json.join(",\n")
     );
     let dir = a.out.clone().unwrap_or_else(|| PathBuf::from("."));
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
@@ -798,10 +759,13 @@ fn bench_cluster(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `trace`: run one (scenario × policy) cell with the flight recorder
-/// attached, replay-verify the event stream against the live accounting,
-/// print the metrics registry, and (with `--out`) write the JSONL trace.
-fn trace_cmd(kind: ScenarioKind, policy: PolicyKind, a: &Args) -> Result<(), String> {
+/// `trace`: run one cell with every host's flight recorder attached,
+/// print each host's metrics registry, replay-verify the streams against
+/// the live accounting (migration events included), print the fleet
+/// report of a multi-host cell, and (with `--out FILE`) write host 0's
+/// JSONL to FILE and host N's to `FILE.hostN`.
+fn trace_cmd(mut c: Cell) -> Result<(), String> {
+    let a = &c.args;
     if a.filter.is_some() && a.out.is_none() {
         return Err(
             "--filter only shapes the JSONL written by --out; add --out FILE (the \
@@ -809,148 +773,76 @@ fn trace_cmd(kind: ScenarioKind, policy: PolicyKind, a: &Args) -> Result<(), Str
                 .into(),
         );
     }
-    let mut cfg = run_config(a)?;
     // The replay verifier checks the occupancy series point-by-point, so
     // record it; series recording never changes simulation outcomes.
-    cfg.record_series = true;
-    cfg.trace = Some(TraceConfig::default());
-    if let Some(p) = &a.chaos {
-        cfg.faults = p.profile.clone();
-    }
-    let r = run_scenario(kind, policy, &cfg);
-    let data = r
-        .trace
-        .as_ref()
-        .expect("trace was configured, so the runner extracts one");
-
-    let m = &data.metrics;
-    println!(
-        "== trace {} / {} (scale {}, seed {}, chaos {}) ==",
-        r.scenario,
-        r.policy,
-        a.scale,
-        a.seed,
-        a.chaos.as_ref().map_or("off", |p| p.name.as_str()),
-    );
-    println!(
-        "events: {} recorded, {} dropped (ring capacity {})",
-        data.events.len(),
-        data.dropped_oldest,
-        trace::DEFAULT_TRACE_CAPACITY,
-    );
-    println!(
-        "tmem: puts={} (rejected {}, reject-ratio {:.3}) gets={} (hits {}) \
-         evictions={} reclaimed={} flush_pages={}",
-        m.puts,
-        m.puts_rejected,
-        m.reject_ratio(),
-        m.gets,
-        m.get_hits,
-        m.evictions,
-        m.reclaimed_pages,
-        m.flush_pages,
-    );
-    let pct = |h: &sim_core::metrics::Histogram, p: f64| {
-        h.percentile(p)
-            .map_or_else(|| "-".into(), |v| v.to_string())
-    };
-    println!(
-        "put latency ns: p50={} p99={} max={} (n={})",
-        pct(&m.put_latency, 0.50),
-        pct(&m.put_latency, 0.99),
-        m.put_latency.max().map_or(0, |v| v),
-        m.put_latency.count(),
-    );
-    println!(
-        "relay: samples={} enqueued={} shed={} pushes={} retries={} queue-depth p99={}",
-        m.virq_samples,
-        m.relay_enqueued,
-        m.relay_shed,
-        m.relay_pushes,
-        m.relay_retries,
-        pct(&m.relay_depth, 0.99),
-    );
-    println!(
-        "mm: decisions={}  faults injected={}",
-        m.mm_decisions, m.faults_injected
-    );
-
-    match scenarios::trace_check::verify(&r) {
-        Ok(rep) if rep.ok() => {
-            println!(
-                "replay: PASS — {} checks over {} events re-derived the live accounting",
-                rep.checks, rep.events
-            );
-        }
-        Ok(rep) => {
-            for mi in &rep.mismatches {
-                eprintln!("replay mismatch: {mi}");
-            }
-            return Err(format!(
-                "replay verification failed: {} mismatch(es) in {} checks",
-                rep.mismatches.len(),
-                rep.checks
-            ));
-        }
-        Err(e) => return Err(format!("replay verification unavailable: {e}")),
-    }
-
-    if let Some(path) = &a.out {
-        let header = TraceHeader {
-            scenario: r.scenario.clone(),
-            policy: r.policy.clone(),
-            seed: a.seed,
-            filter: None,
-        };
-        let jsonl = data.to_jsonl(&header, a.filter.as_deref());
-        let written = jsonl.lines().count().saturating_sub(1);
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        }
-        std::fs::write(path, &jsonl).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("trace: {} ({written} events)", path.display());
-    }
-    Ok(())
-}
-
-/// `trace` for a multi-host cell: run the cluster with every host's
-/// flight recorder attached, replay-verify the merged streams (migration
-/// events included), print the fleet report, and (with `--out FILE`)
-/// write host 0's JSONL to FILE and host N's to `FILE.hostN`.
-fn trace_cluster_cmd(
-    kind: ScenarioKind,
-    hosts: usize,
-    policy: PolicyKind,
-    a: &Args,
-) -> Result<(), String> {
-    let mut cfg = run_config(a)?;
-    cfg.record_series = true;
-    cfg.trace = Some(TraceConfig::default());
-    if let Some(p) = &a.chaos {
-        cfg.faults = p.profile.clone();
-    }
-    let spec = cluster_spec(kind, hosts, &cfg);
-    let cr = run_cluster(spec, policy, &cfg, &default_cluster(hosts));
+    c.cfg.record_series = true;
+    c.cfg.trace = Some(TraceConfig::default());
+    let cr = run_cluster(c.spec, c.policy, &c.cfg, &c.cluster);
+    let multi = cr.host_results.len() > 1;
     let head = &cr.host_results[0];
     println!(
-        "== trace {} / {} ({hosts} hosts, scale {}, seed {}, chaos {}) ==",
+        "== trace {} / {} ({}scale {}, seed {}, chaos {}) ==",
         head.scenario,
         head.policy,
+        if multi {
+            format!("{} hosts, ", cr.host_results.len())
+        } else {
+            String::new()
+        },
         a.scale,
         a.seed,
         a.chaos.as_ref().map_or("off", |p| p.name.as_str()),
     );
     for (h, r) in cr.host_results.iter().enumerate() {
-        let data = r
-            .trace
-            .as_ref()
-            .expect("trace was configured, so every host extracts one");
+        if multi {
+            println!("-- host {h} --");
+        }
+        let data = trace_data(r);
+        let m = &data.metrics;
         println!(
-            "host {h}: {} events recorded, {} dropped",
+            "events: {} recorded, {} dropped (ring capacity {})",
             data.events.len(),
-            data.dropped_oldest
+            data.dropped_oldest,
+            trace::DEFAULT_TRACE_CAPACITY,
+        );
+        println!(
+            "tmem: puts={} (rejected {}, reject-ratio {:.3}) gets={} (hits {}) \
+             evictions={} reclaimed={} flush_pages={}",
+            m.puts,
+            m.puts_rejected,
+            m.reject_ratio(),
+            m.gets,
+            m.get_hits,
+            m.evictions,
+            m.reclaimed_pages,
+            m.flush_pages,
+        );
+        let pct = |h: &sim_core::metrics::Histogram, p: f64| {
+            h.percentile(p)
+                .map_or_else(|| "-".into(), |v| v.to_string())
+        };
+        println!(
+            "put latency ns: p50={} p99={} max={} (n={})",
+            pct(&m.put_latency, 0.50),
+            pct(&m.put_latency, 0.99),
+            m.put_latency.max().map_or(0, |v| v),
+            m.put_latency.count(),
+        );
+        println!(
+            "relay: samples={} enqueued={} shed={} pushes={} retries={} queue-depth p99={}",
+            m.virq_samples,
+            m.relay_enqueued,
+            m.relay_shed,
+            m.relay_pushes,
+            m.relay_retries,
+            pct(&m.relay_depth, 0.99),
+        );
+        println!(
+            "mm: decisions={}  faults injected={}",
+            m.mm_decisions, m.faults_injected
         );
     }
+
     match scenarios::trace_check::verify_cluster(&cr.host_results) {
         Ok(rep) if rep.ok() => {
             println!(
@@ -970,20 +862,22 @@ fn trace_cluster_cmd(
         }
         Err(e) => return Err(format!("replay verification unavailable: {e}")),
     }
-    print!("{}", report::render_fleet(&cr));
+    if multi {
+        print!("{}", report::render_fleet(&cr));
+    }
+
     if let Some(path) = &a.out {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
         }
         for (h, r) in cr.host_results.iter().enumerate() {
-            let data = r.trace.as_ref().expect("extracted above");
             let header = TraceHeader {
                 scenario: r.scenario.clone(),
                 policy: r.policy.clone(),
                 seed: a.seed,
                 filter: None,
             };
-            let jsonl = data.to_jsonl(&header, a.filter.as_deref());
+            let jsonl = trace_data(r).to_jsonl(&header, a.filter.as_deref());
             let written = jsonl.lines().count().saturating_sub(1);
             let host_path = if h == 0 {
                 path.clone()
@@ -996,6 +890,12 @@ fn trace_cluster_cmd(
         }
     }
     Ok(())
+}
+
+fn trace_data(r: &RunResult) -> &TraceData {
+    r.trace
+        .as_ref()
+        .expect("trace was configured, so every host extracts one")
 }
 
 /// Per-VM admission/datapath counters accumulated by `inspect`.
@@ -1337,8 +1237,22 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// One-cell result summary shared by `run` and `run-file`.
-fn print_result(r: &RunResult) {
+/// One-cell result summary shared by `run` and `run-file`: each host's
+/// results and, with `fleet_report`, a `-- host N --` line before each
+/// host and the rendered fleet report after them.
+fn print_result(c: &ClusterResult, fleet_report: bool) {
+    for (h, r) in c.host_results.iter().enumerate() {
+        if fleet_report {
+            println!("-- host {h} --");
+        }
+        print_host_result(r);
+    }
+    if fleet_report {
+        print!("{}", report::render_fleet(c));
+    }
+}
+
+fn print_host_result(r: &RunResult) {
     println!(
         "{} / {}: end={} events={} disk_reads={} read_wait={} throttle={} mm_tx={}/{}",
         r.scenario,
@@ -1393,16 +1307,6 @@ fn print_result(r: &RunResult) {
     }
 }
 
-/// Cluster-cell summary shared by `run` and `run-file`: the per-host
-/// results followed by the rendered fleet report.
-fn print_cluster_result(c: &ClusterResult) {
-    for (h, r) in c.host_results.iter().enumerate() {
-        println!("-- host {h} --");
-        print_result(r);
-    }
-    print!("{}", report::render_fleet(c));
-}
-
 /// `run-file`: run a declarative scenario file under one or more policies.
 /// The file's `[run]` table supplies defaults for anything the command
 /// line leaves unset; explicit flags and positional policies win.
@@ -1447,7 +1351,7 @@ fn run_file_cmd(
     } else {
         policies
             .iter()
-            .map(|p| parse_policy(p))
+            .map(|p| dsl::parse_policy(p))
             .collect::<Result<_, _>>()?
     };
 
@@ -1460,6 +1364,7 @@ fn run_file_cmd(
         None
     };
 
+    let cluster = doc.cluster.clone().unwrap_or_default();
     println!(
         "== run-file {} — {} (scale {scale}, seed {seed}, reps {reps}) ==",
         path.display(),
@@ -1475,10 +1380,8 @@ fn run_file_cmd(
             if reps > 1 {
                 println!("-- rep {} --", rep + 1);
             }
-            match &doc.cluster {
-                Some(c) => print_cluster_result(&run_cluster(doc.spec.clone(), policy, &cfg, c)),
-                None => print_result(&run_spec(doc.spec.clone(), policy, &cfg)),
-            }
+            let cr = run_cluster(doc.spec.clone(), policy, &cfg, &cluster);
+            print_result(&cr, doc.cluster.is_some());
         }
     }
     Ok(())
@@ -1541,14 +1444,13 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
         }
         "fig" => {
             let (n, rest) = rest.split_first().ok_or("fig needs a number (3-10)")?;
-            let n: u32 = n.parse().map_err(|e| format!("figure number: {e}"))?;
-            let a = parse_flags(rest)?;
-            figure(n, &a)
+            let def = figure_def(n)?;
+            figure(def, &parse_flags(rest)?)
         }
         "all" => {
             let a = parse_flags(rest)?;
-            for n in [3, 4, 5, 6, 7, 8, 9, 10] {
-                figure(n, &a)?;
+            for def in figures::FIGURES {
+                figure(def, &a)?;
                 println!();
             }
             Ok(())
@@ -1560,10 +1462,6 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
         "bench-fleet" => {
             let a = parse_flags(rest)?;
             bench_fleet(&a)
-        }
-        "bench-cluster" => {
-            let a = parse_flags(rest)?;
-            bench_cluster(&a)
         }
         "chaos" => {
             let a = parse_flags(rest)?;
@@ -1596,18 +1494,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        "trace" => {
-            let (scenario, rest) = rest.split_first().ok_or("trace needs a scenario")?;
-            let (policy, rest) = rest.split_first().ok_or("trace needs a policy")?;
-            let (kind, hosts) = parse_scenario_cluster(scenario)?;
-            let policy = parse_policy(policy)?;
-            let a = parse_flags(rest)?;
-            if hosts > 1 {
-                trace_cluster_cmd(kind, hosts, policy, &a)
-            } else {
-                trace_cmd(kind, policy, &a)
-            }
-        }
+        "trace" => trace_cmd(parse_cell("trace", rest)?),
         "run-file" => {
             let (file, rest) = rest
                 .split_first()
@@ -1633,19 +1520,9 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
             _ => Err("inspect takes exactly one trace file and no flags".into()),
         },
         "run" => {
-            let (scenario, rest) = rest.split_first().ok_or("run needs a scenario")?;
-            let (policy, rest) = rest.split_first().ok_or("run needs a policy")?;
-            let (kind, hosts) = parse_scenario_cluster(scenario)?;
-            let policy = parse_policy(policy)?;
-            let a = parse_flags(rest)?;
-            let cfg = run_config(&a)?;
-            if hosts > 1 {
-                let spec = cluster_spec(kind, hosts, &cfg);
-                let cr = run_cluster(spec, policy, &cfg, &default_cluster(hosts));
-                print_cluster_result(&cr);
-            } else {
-                print_result(&run_scenario(kind, policy, &cfg));
-            }
+            let c = parse_cell("run", rest)?;
+            let cr = run_cluster(c.spec, c.policy, &c.cfg, &c.cluster);
+            print_result(&cr, c.cluster.hosts > 1);
             Ok(())
         }
         other => Err(format!("unknown command '{other}'")),
@@ -1659,10 +1536,6 @@ mod tests {
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
-    }
-
-    fn parse_scenario(s: &str) -> Result<ScenarioKind, String> {
-        dsl::parse_kind(s)
     }
 
     #[test]
@@ -1744,49 +1617,52 @@ mod tests {
 
     #[test]
     fn policies_parse() {
-        assert_eq!(parse_policy("greedy").unwrap(), PolicyKind::Greedy);
-        assert_eq!(parse_policy("no-tmem").unwrap(), PolicyKind::NoTmem);
+        assert_eq!(dsl::parse_policy("greedy").unwrap(), PolicyKind::Greedy);
+        assert_eq!(dsl::parse_policy("no-tmem").unwrap(), PolicyKind::NoTmem);
         assert_eq!(
-            parse_policy("smart-alloc:0.75").unwrap(),
+            dsl::parse_policy("smart-alloc:0.75").unwrap(),
             PolicyKind::SmartAlloc { p: 0.75 }
         );
-        assert_eq!(parse_policy("predictive").unwrap(), PolicyKind::Predictive);
-        assert!(parse_policy("smart-alloc:x").is_err());
-        assert!(parse_policy("nonsense").is_err());
+        assert_eq!(
+            dsl::parse_policy("predictive").unwrap(),
+            PolicyKind::Predictive
+        );
+        assert!(dsl::parse_policy("smart-alloc:x").is_err());
+        assert!(dsl::parse_policy("nonsense").is_err());
     }
 
     #[test]
     fn scenarios_parse() {
         assert_eq!(
-            parse_scenario("usemem").unwrap(),
+            dsl::parse_kind("usemem").unwrap(),
             ScenarioKind::UsememScenario
         );
         assert_eq!(
-            parse_scenario("scenario3").unwrap(),
+            dsl::parse_kind("scenario3").unwrap(),
             ScenarioKind::Scenario3
         );
-        assert!(parse_scenario("scenario9").is_err());
+        assert!(dsl::parse_kind("scenario9").is_err());
     }
 
     #[test]
     fn fleet_scenarios_parse() {
         assert_eq!(
-            parse_scenario("fleet").unwrap(),
+            dsl::parse_kind("fleet").unwrap(),
             ScenarioKind::Scenario5(FleetParams::default())
         );
         assert_eq!(
-            parse_scenario("scenario5").unwrap(),
+            dsl::parse_kind("scenario5").unwrap(),
             ScenarioKind::Scenario5(FleetParams::default())
         );
         assert_eq!(
-            parse_scenario("fleet:16").unwrap(),
+            dsl::parse_kind("fleet:16").unwrap(),
             ScenarioKind::Scenario5(FleetParams {
                 vms: 16,
                 ..FleetParams::default()
             })
         );
         assert_eq!(
-            parse_scenario("fleet:32:256:paging:100").unwrap(),
+            dsl::parse_kind("fleet:32:256:paging:100").unwrap(),
             ScenarioKind::Scenario5(FleetParams {
                 vms: 32,
                 footprint_mb: 256,
@@ -1795,7 +1671,7 @@ mod tests {
             })
         );
         assert_eq!(
-            parse_scenario("fleet:8:64:serving:0").unwrap(),
+            dsl::parse_kind("fleet:8:64:serving:0").unwrap(),
             ScenarioKind::Scenario5(FleetParams {
                 vms: 8,
                 footprint_mb: 64,
@@ -1804,34 +1680,47 @@ mod tests {
             }),
             "gap 0 means simultaneous arrivals"
         );
-        let (kind, hosts) = parse_scenario_cluster("fleet:2x32").unwrap();
-        assert_eq!(hosts, 2, "cluster spelling carries the host count");
-        assert_eq!(
-            kind,
-            ScenarioKind::Scenario5(FleetParams {
-                vms: 32,
-                ..FleetParams::default()
-            })
-        );
-        assert_eq!(
-            parse_scenario_cluster("fleet:16").unwrap().1,
-            1,
-            "bare counts stay single-host"
-        );
-        assert!(parse_scenario("fleet:0").is_err(), "zero VMs");
-        assert!(parse_scenario("fleet:8:0").is_err(), "zero footprint");
-        assert!(parse_scenario("fleet:8:64:warp").is_err(), "unknown mix");
+        assert!(dsl::parse_kind("fleet:0").is_err(), "zero VMs");
+        assert!(dsl::parse_kind("fleet:8:0").is_err(), "zero footprint");
+        assert!(dsl::parse_kind("fleet:8:64:warp").is_err(), "unknown mix");
         assert!(
-            parse_scenario("fleet:8:64:paging:5:9").is_err(),
+            dsl::parse_kind("fleet:8:64:paging:5:9").is_err(),
             "trailing part"
         );
-        assert!(parse_scenario("fleet:x").is_err());
+        assert!(dsl::parse_kind("fleet:x").is_err());
     }
 
     #[test]
     fn figure_numbers_are_validated() {
-        let a = parse_flags(&args(&[])).unwrap();
-        assert!(figure(11, &a).is_err());
-        assert!(figure(2, &a).is_err());
+        assert_eq!(figure_def("7").unwrap().id, "fig7");
+        assert!(figure_def("11").is_err());
+        assert!(figure_def("2").is_err());
+        assert!(figure_def("x").is_err());
+    }
+
+    #[test]
+    fn run_applies_the_chaos_profile() {
+        let cell = parse_cell("run", &args(&["scenario1", "greedy", "--chaos", "bitrot"])).unwrap();
+        let bitrot = chaos::shipped_profiles()
+            .into_iter()
+            .find(|p| p.name == "bitrot")
+            .unwrap();
+        assert_eq!(cell.cfg.faults, bitrot.profile);
+        assert_ne!(cell.cfg.faults, sim_core::faults::FaultProfile::none());
+        let plain = parse_cell("run", &args(&["scenario1", "greedy"])).unwrap();
+        assert_eq!(plain.cfg.faults, sim_core::faults::FaultProfile::none());
+    }
+
+    #[test]
+    fn cells_carry_the_host_count_and_cluster_name() {
+        let one = parse_cell("run", &args(&["fleet:8:16", "greedy"])).unwrap();
+        assert_eq!(one.cluster.hosts, 1);
+        assert_eq!(one.spec.name, "scenario5-8x16mb-balanced");
+        let two = parse_cell("trace", &args(&["fleet:2x8:16", "greedy"])).unwrap();
+        assert_eq!(two.cluster.hosts, 2);
+        assert_eq!(two.spec.name, "scenario5-2x8x16mb-balanced");
+        assert!(parse_cell("run", &args(&["scenario1"]))
+            .err()
+            .is_some_and(|e| e.contains("run needs a policy")));
     }
 }

@@ -207,41 +207,6 @@ impl GuestKernel {
         (self.frames.len() - self.free_frames.len()) as u64
     }
 
-    /// Balloon the guest's usable RAM to `new_frames` frames (memory
-    /// ballooning integration — the paper's future work of combining tmem
-    /// with other memory mechanisms). Growing adds free frames (the
-    /// balloon deflates); shrinking evicts whatever occupies the
-    /// confiscated frames through the normal swap path (frontswap first,
-    /// then disk), charging the machine budget like any other reclaim.
-    pub fn balloon_resize(&mut self, new_frames: u64, m: &mut Machine<'_>) {
-        let n = self.frames.len();
-        let new_n = usize::try_from(new_frames).expect("frame count fits usize");
-        assert!(new_n >= 1, "a guest needs at least one frame");
-        if new_n >= n {
-            for idx in n..new_n {
-                self.frames.push(None);
-                self.free_frames.push(idx as u32);
-            }
-            return;
-        }
-        // Inflate: push out everything living in the confiscated frames.
-        for idx in new_n..n {
-            if let Some(frame) = self.frames[idx] {
-                self.swap_out(idx as u32, frame, m);
-            }
-        }
-        self.frames.truncate(new_n);
-        self.free_frames.retain(|&f| (f as usize) < new_n);
-        if self.clock_hand >= new_n {
-            self.clock_hand = 0;
-        }
-    }
-
-    /// Current usable frames (reflects ballooning).
-    pub fn current_frames(&self) -> u64 {
-        self.frames.len() as u64
-    }
-
     /// Allocate `len` pages of anonymous memory (lazy, like `mmap`):
     /// returns the base page; nothing is faulted in yet.
     pub fn alloc(&mut self, len: u64) -> VirtPage {

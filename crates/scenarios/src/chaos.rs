@@ -224,7 +224,8 @@ pub fn run_chaos(
         // chaos runs are exactly where emission sites are easiest to get
         // wrong (retries, supersedes, crashes), so verify them in place.
         let replay = cell_cfg.trace.is_some().then(|| {
-            crate::trace_check::verify(&r).map_or(u64::MAX, |rep| rep.mismatches.len() as u64)
+            crate::trace_check::verify_cluster(std::slice::from_ref(&r))
+                .map_or(u64::MAX, |rep| rep.mismatches.len() as u64)
         });
         (name, replay, r)
     });

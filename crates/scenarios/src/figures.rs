@@ -1,6 +1,7 @@
 //! Per-figure experiment harnesses.
 //!
-//! One producer per figure of the paper's evaluation (§V). Running-time
+//! [`FIGURES`] defines the paper's Figs. 3–10 (§V) as data — scenario,
+//! policies and fold — and [`produce`] runs any of them. Running-time
 //! figures (3, 5, 9) repeat each scenario × policy `reps` times (the paper
 //! uses five) and report mean ± standard deviation per VM per run; the
 //! usemem figure (7) reports per-allocation spans; occupancy figures (4, 6,
@@ -10,15 +11,16 @@
 //! All (policy × rep) grids run through [`crate::par::run_indexed`] with
 //! `RunConfig::jobs` workers: each cell is an independent simulation with a
 //! per-cell derived seed, results come back in grid order, and the folding
-//! below consumes them in exactly the order the old serial loops did — so
+//! below consumes them in exactly the order the serial loops would — so
 //! output is byte-identical at any job count.
 
 use crate::config::RunConfig;
 use crate::par::run_indexed;
-use crate::runner::{run_scenario, RunResult, SeriesBundle};
+use crate::runner::{run_scenario, RunResult, SeriesBundle, VmResult};
 use crate::spec::{build_scenario, usemem_alloc_label, ProgramStep, ScenarioKind, WorkloadSpec};
 use sim_core::metrics::Summary;
 use sim_core::rng::SplitMix64;
+use sim_core::time::SimDuration;
 use smartmem_core::PolicyKind;
 
 /// One bar of a running-time figure: a (VM, run) cell under one policy.
@@ -54,28 +56,6 @@ pub struct FigureData {
     pub groups: Vec<BarGroup>,
 }
 
-impl FigureData {
-    /// Mean running time of a (policy, bar-label) cell, if present.
-    pub fn mean_of(&self, policy: &str, label: &str) -> Option<f64> {
-        self.groups
-            .iter()
-            .find(|g| g.policy == policy)?
-            .bars
-            .iter()
-            .find(|b| b.label == label)
-            .map(|b| b.mean_s)
-    }
-
-    /// Mean over all bars of one policy (a scalar "who wins" view).
-    pub fn policy_mean(&self, policy: &str) -> Option<f64> {
-        let g = self.groups.iter().find(|g| g.policy == policy)?;
-        if g.bars.is_empty() {
-            return None;
-        }
-        Some(g.bars.iter().map(|b| b.mean_s).sum::<f64>() / g.bars.len() as f64)
-    }
-}
-
 /// A recorded occupancy run for one policy (Figs. 4, 6, 8, 10).
 #[derive(Debug)]
 pub struct SeriesFigure {
@@ -87,8 +67,158 @@ pub struct SeriesFigure {
     pub panels: Vec<(String, SeriesBundle)>,
     /// VM names, for labelling columns.
     pub vm_names: Vec<String>,
-    /// Sampling interval seconds (for rendering).
-    pub interval_s: f64,
+}
+
+/// How a figure folds its runs into plotted data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// Running-time bars: one per (VM, completed run), over `reps`
+    /// repetitions.
+    RunBars,
+    /// Usemem running-time bars: one per allocation, the span from each
+    /// `alloc:<MiB>` milestone to the matching `block:<MiB>` completion.
+    UsememSpans,
+    /// Per-interval tmem occupancy and target series, one panel per policy.
+    Series,
+}
+
+/// One figure of the paper's evaluation.
+#[derive(Debug, Clone, Copy)]
+pub struct FigureDef {
+    /// Paper figure id ("fig3", ...).
+    pub id: &'static str,
+    /// Human title.
+    pub title: &'static str,
+    /// The Table II scenario the figure runs.
+    pub scenario: ScenarioKind,
+    /// Policies in paper order; `None` runs the scenario's paper set
+    /// (baselines plus its smart-alloc `P` sweep).
+    pub policies: Option<&'static [PolicyKind]>,
+    /// How runs become plotted data.
+    pub fold: Fold,
+}
+
+impl FigureDef {
+    /// The policies this figure runs, in paper order.
+    pub fn policies(&self) -> Vec<PolicyKind> {
+        self.policies.map_or_else(
+            || PolicyKind::paper_set(self.scenario.paper_smart_ps()),
+            <[PolicyKind]>::to_vec,
+        )
+    }
+}
+
+/// Figs. 3–10, in paper order.
+pub const FIGURES: &[FigureDef] = &[
+    FigureDef {
+        id: "fig3",
+        title: "Running times for Scenario 1 (3×1GB VMs, in-memory-analytics ×2)",
+        scenario: ScenarioKind::Scenario1,
+        policies: None,
+        fold: Fold::RunBars,
+    },
+    FigureDef {
+        id: "fig4",
+        title: "Tmem capacity per VM, Scenario 1: (a) greedy (b) smart-alloc P=0.75%",
+        scenario: ScenarioKind::Scenario1,
+        policies: Some(&[PolicyKind::Greedy, PolicyKind::SmartAlloc { p: 0.75 }]),
+        fold: Fold::Series,
+    },
+    FigureDef {
+        id: "fig5",
+        title: "Running times for Scenario 2 (3×512MB VMs, graph-analytics, VM3 +30s)",
+        scenario: ScenarioKind::Scenario2,
+        policies: None,
+        fold: Fold::RunBars,
+    },
+    FigureDef {
+        id: "fig6",
+        title: "Tmem use per VM, Scenario 2: (a) greedy (b) smart-alloc P=6%",
+        scenario: ScenarioKind::Scenario2,
+        policies: Some(&[PolicyKind::Greedy, PolicyKind::SmartAlloc { p: 6.0 }]),
+        fold: Fold::Series,
+    },
+    FigureDef {
+        id: "fig7",
+        title: "Running times for the Usemem scenario (per allocation, MiB scaled)",
+        scenario: ScenarioKind::UsememScenario,
+        policies: None,
+        fold: Fold::UsememSpans,
+    },
+    FigureDef {
+        id: "fig8",
+        title: "Tmem use per VM, usemem: (a) greedy (b) reconf-static (c) smart-alloc P=2%",
+        scenario: ScenarioKind::UsememScenario,
+        policies: Some(&[
+            PolicyKind::Greedy,
+            PolicyKind::ReconfStatic,
+            PolicyKind::SmartAlloc { p: 2.0 },
+        ]),
+        fold: Fold::Series,
+    },
+    FigureDef {
+        id: "fig9",
+        title: "Running times for Scenario 3 (graph-analytics ×2 + in-memory-analytics)",
+        scenario: ScenarioKind::Scenario3,
+        policies: None,
+        fold: Fold::RunBars,
+    },
+    FigureDef {
+        id: "fig10",
+        title:
+            "Tmem use per VM, Scenario 3: (a) greedy (b) static (c) reconf-static (d) smart-alloc P=4%",
+        scenario: ScenarioKind::Scenario3,
+        policies: Some(&[
+            PolicyKind::Greedy,
+            PolicyKind::StaticAlloc,
+            PolicyKind::ReconfStatic,
+            PolicyKind::SmartAlloc { p: 4.0 },
+        ]),
+        fold: Fold::Series,
+    },
+];
+
+/// The figure with paper id `id` ("fig3", ...), if the paper has one.
+pub fn find(id: &str) -> Option<&'static FigureDef> {
+    FIGURES.iter().find(|d| d.id == id)
+}
+
+/// A produced figure: running-time bars or occupancy series.
+#[derive(Debug)]
+pub enum Figure {
+    /// Figs. 3, 5, 7, 9.
+    Bars(FigureData),
+    /// Figs. 4, 6, 8, 10.
+    Series(SeriesFigure),
+}
+
+/// Produce one figure. Bar folds repeat each (policy, rep) cell `reps`
+/// times; series folds run each policy once (`reps` is unused).
+pub fn produce(def: &FigureDef, cfg: &RunConfig, reps: u64) -> Figure {
+    let policies = def.policies();
+    let groups = match def.fold {
+        Fold::RunBars => running_time_groups(def.scenario, &policies, cfg, reps, completion_bars),
+        Fold::UsememSpans => {
+            running_time_groups(def.scenario, &policies, cfg, reps, usemem_span_bars(cfg))
+        }
+        Fold::Series => {
+            return Figure::Series(SeriesFigure {
+                id: def.id.into(),
+                title: def.title.into(),
+                panels: series_for(def.scenario, &policies, cfg),
+                vm_names: build_scenario(def.scenario, cfg)
+                    .vms
+                    .iter()
+                    .map(|v| v.config.name.clone())
+                    .collect(),
+            })
+        }
+    };
+    Figure::Bars(FigureData {
+        id: def.id.into(),
+        title: def.title.into(),
+        groups,
+    })
 }
 
 fn rep_config(cfg: &RunConfig, rep: u64) -> RunConfig {
@@ -99,35 +229,63 @@ fn rep_config(cfg: &RunConfig, rep: u64) -> RunConfig {
     c
 }
 
-/// Run every (policy, rep) cell of a scenario's grid — in parallel when
-/// `cfg.jobs > 1` — returning results policy-major, rep-minor: the exact
-/// order the serial nested loops visited them.
-fn run_grid(
-    kind: ScenarioKind,
-    policies: &[PolicyKind],
-    cfg: &RunConfig,
-    reps: u64,
-) -> Vec<RunResult> {
-    let grid: Vec<(PolicyKind, u64)> = policies
-        .iter()
-        .flat_map(|&policy| (0..reps).map(move |rep| (policy, rep)))
-        .collect();
-    run_indexed(grid, cfg.jobs, |_, (policy, rep)| {
-        let r = run_scenario(kind, policy, &rep_config(cfg, rep));
-        assert!(!r.truncated, "{kind:?}/{policy} hit the safety cutoff");
-        r
-    })
+/// One bar per completed run: `("VM1/run1", duration)`, ...
+pub fn completion_bars(vm: &VmResult) -> Vec<(String, SimDuration)> {
+    vm.completions()
+        .into_iter()
+        .enumerate()
+        .map(|(run_idx, d)| (format!("{}/run{}", vm.name, run_idx + 1), d))
+        .collect()
 }
 
-/// Run `scenario × policy` `reps` times and fold per-(VM, run) durations.
+/// One bar per usemem allocation that completed its block: `("VM1@4", span)`.
+fn usemem_span_bars(cfg: &RunConfig) -> impl Fn(&VmResult) -> Vec<(String, SimDuration)> {
+    // Block sizes present in the scaled config: up to the stop trigger (the
+    // 6th allocation), block 5 (640 MB full-scale) is the last completable.
+    let ucfg = workloads::usemem::UsememConfig::paper(cfg.scale);
+    let blocks: Vec<(String, String)> = (1..=5)
+        .map(|k| {
+            let alloc = usemem_alloc_label(&ucfg, k);
+            let block = alloc.replacen("alloc", "block", 1);
+            (alloc, block)
+        })
+        .collect();
+    move |vm| {
+        blocks
+            .iter()
+            .filter_map(|(alloc, block)| {
+                let span = vm.span_between(alloc, block)?;
+                Some((
+                    format!("{}@{}", vm.name, alloc.replacen("alloc:", "", 1)),
+                    span,
+                ))
+            })
+            .collect()
+    }
+}
+
+/// Run `scenario × policy` `reps` times and fold the bars `extract` reads
+/// off each VM (e.g. [`completion_bars`]) into per-label mean ± std, in
+/// first-seen label order.
 pub fn running_time_groups(
     kind: ScenarioKind,
     policies: &[PolicyKind],
     cfg: &RunConfig,
     reps: u64,
+    extract: impl Fn(&VmResult) -> Vec<(String, SimDuration)>,
 ) -> Vec<BarGroup> {
     assert!(reps > 0);
-    let results = run_grid(kind, policies, cfg, reps);
+    // Every (policy, rep) cell runs in parallel when `cfg.jobs > 1`;
+    // results come back policy-major, rep-minor — the serial loop order.
+    let grid: Vec<(PolicyKind, u64)> = policies
+        .iter()
+        .flat_map(|&policy| (0..reps).map(move |rep| (policy, rep)))
+        .collect();
+    let results = run_indexed(grid, cfg.jobs, |_, (policy, rep)| {
+        let r = run_scenario(kind, policy, &rep_config(cfg, rep));
+        assert!(!r.truncated, "{kind:?}/{policy} hit the safety cutoff");
+        r
+    });
     policies
         .iter()
         .zip(results.chunks(reps as usize))
@@ -135,21 +293,16 @@ pub fn running_time_groups(
             // label -> summary, insertion-ordered via Vec.
             let mut labels: Vec<String> = Vec::new();
             let mut sums: Vec<Summary> = Vec::new();
-            for r in runs {
-                for vm in &r.vm_results {
-                    for (run_idx, d) in vm.completions().iter().enumerate() {
-                        let label = format!("{}/run{}", vm.name, run_idx + 1);
-                        let i = match labels.iter().position(|l| *l == label) {
-                            Some(i) => i,
-                            None => {
-                                labels.push(label);
-                                sums.push(Summary::new());
-                                labels.len() - 1
-                            }
-                        };
-                        sums[i].record(d.as_secs_f64());
+            for (label, d) in runs.iter().flat_map(|r| &r.vm_results).flat_map(&extract) {
+                let i = match labels.iter().position(|l| *l == label) {
+                    Some(i) => i,
+                    None => {
+                        labels.push(label);
+                        sums.push(Summary::new());
+                        labels.len() - 1
                     }
-                }
+                };
+                sums[i].record(d.as_secs_f64());
             }
             BarGroup {
                 policy: policy.to_string(),
@@ -166,114 +319,6 @@ pub fn running_time_groups(
             }
         })
         .collect()
-}
-
-/// Fig. 3: running times for Scenario 1.
-pub fn fig3(cfg: &RunConfig, reps: u64) -> FigureData {
-    let kind = ScenarioKind::Scenario1;
-    FigureData {
-        id: "fig3".into(),
-        title: "Running times for Scenario 1 (3×1GB VMs, in-memory-analytics ×2)".into(),
-        groups: running_time_groups(
-            kind,
-            &PolicyKind::paper_set(kind.paper_smart_ps()),
-            cfg,
-            reps,
-        ),
-    }
-}
-
-/// Fig. 5: running times for Scenario 2.
-pub fn fig5(cfg: &RunConfig, reps: u64) -> FigureData {
-    let kind = ScenarioKind::Scenario2;
-    FigureData {
-        id: "fig5".into(),
-        title: "Running times for Scenario 2 (3×512MB VMs, graph-analytics, VM3 +30s)".into(),
-        groups: running_time_groups(
-            kind,
-            &PolicyKind::paper_set(kind.paper_smart_ps()),
-            cfg,
-            reps,
-        ),
-    }
-}
-
-/// Fig. 9: running times for Scenario 3.
-pub fn fig9(cfg: &RunConfig, reps: u64) -> FigureData {
-    let kind = ScenarioKind::Scenario3;
-    FigureData {
-        id: "fig9".into(),
-        title: "Running times for Scenario 3 (graph-analytics ×2 + in-memory-analytics)".into(),
-        groups: running_time_groups(
-            kind,
-            &PolicyKind::paper_set(kind.paper_smart_ps()),
-            cfg,
-            reps,
-        ),
-    }
-}
-
-/// Fig. 7: usemem per-allocation running times. Bars are the spans from
-/// each `alloc:<MiB>` milestone to the matching `block:<MiB>` completion.
-pub fn fig7(cfg: &RunConfig, reps: u64) -> FigureData {
-    let kind = ScenarioKind::UsememScenario;
-    let policies = PolicyKind::paper_set(kind.paper_smart_ps());
-    // Block sizes present in the scaled config: up to the stop trigger (the
-    // 6th allocation), block 5 (640 MB full-scale) is the last completable.
-    let ucfg = workloads::usemem::UsememConfig::paper(cfg.scale);
-    let blocks: Vec<(String, String)> = (1..=5)
-        .map(|k| {
-            let alloc = usemem_alloc_label(&ucfg, k);
-            let block = alloc.replacen("alloc", "block", 1);
-            (alloc, block)
-        })
-        .collect();
-
-    let results = run_grid(kind, &policies, cfg, reps);
-    let groups = policies
-        .iter()
-        .zip(results.chunks(reps as usize))
-        .map(|(&policy, runs)| {
-            let mut labels: Vec<String> = Vec::new();
-            let mut sums: Vec<Summary> = Vec::new();
-            for r in runs {
-                for vm in &r.vm_results {
-                    for (alloc, block) in &blocks {
-                        if let Some(span) = vm.span_between(alloc, block) {
-                            let label = format!("{}@{}", vm.name, alloc.replacen("alloc:", "", 1));
-                            let i = match labels.iter().position(|l| *l == label) {
-                                Some(i) => i,
-                                None => {
-                                    labels.push(label);
-                                    sums.push(Summary::new());
-                                    labels.len() - 1
-                                }
-                            };
-                            sums[i].record(span.as_secs_f64());
-                        }
-                    }
-                }
-            }
-            BarGroup {
-                policy: policy.to_string(),
-                bars: labels
-                    .into_iter()
-                    .zip(sums)
-                    .map(|(label, s)| BarStat {
-                        label,
-                        mean_s: s.mean(),
-                        std_s: s.stddev(),
-                        n: s.count(),
-                    })
-                    .collect(),
-            }
-        })
-        .collect();
-    FigureData {
-        id: "fig7".into(),
-        title: "Running times for the Usemem scenario (per allocation, MiB scaled)".into(),
-        groups,
-    }
 }
 
 fn series_for(
@@ -291,91 +336,6 @@ fn series_for(
             r.series.expect("series recording requested"),
         )
     })
-}
-
-fn vm_names(kind: ScenarioKind, cfg: &RunConfig) -> Vec<String> {
-    build_scenario(kind, cfg)
-        .vms
-        .iter()
-        .map(|v| v.config.name.clone())
-        .collect()
-}
-
-/// Fig. 4: Scenario 1 tmem occupancy, greedy vs smart-alloc(0.75%).
-pub fn fig4(cfg: &RunConfig) -> SeriesFigure {
-    let kind = ScenarioKind::Scenario1;
-    SeriesFigure {
-        id: "fig4".into(),
-        title: "Tmem capacity per VM, Scenario 1: (a) greedy (b) smart-alloc P=0.75%".into(),
-        panels: series_for(
-            kind,
-            &[PolicyKind::Greedy, PolicyKind::SmartAlloc { p: 0.75 }],
-            cfg,
-        ),
-        vm_names: vm_names(kind, cfg),
-        interval_s: cfg.sampling_interval().as_secs_f64(),
-    }
-}
-
-/// Fig. 6: Scenario 2 tmem occupancy, greedy vs smart-alloc(6%).
-pub fn fig6(cfg: &RunConfig) -> SeriesFigure {
-    let kind = ScenarioKind::Scenario2;
-    SeriesFigure {
-        id: "fig6".into(),
-        title: "Tmem use per VM, Scenario 2: (a) greedy (b) smart-alloc P=6%".into(),
-        panels: series_for(
-            kind,
-            &[PolicyKind::Greedy, PolicyKind::SmartAlloc { p: 6.0 }],
-            cfg,
-        ),
-        vm_names: vm_names(kind, cfg),
-        interval_s: cfg.sampling_interval().as_secs_f64(),
-    }
-}
-
-/// Fig. 8: Usemem scenario occupancy, greedy / reconf-static /
-/// smart-alloc(2%).
-pub fn fig8(cfg: &RunConfig) -> SeriesFigure {
-    let kind = ScenarioKind::UsememScenario;
-    SeriesFigure {
-        id: "fig8".into(),
-        title: "Tmem use per VM, usemem: (a) greedy (b) reconf-static (c) smart-alloc P=2%".into(),
-        panels: series_for(
-            kind,
-            &[
-                PolicyKind::Greedy,
-                PolicyKind::ReconfStatic,
-                PolicyKind::SmartAlloc { p: 2.0 },
-            ],
-            cfg,
-        ),
-        vm_names: vm_names(kind, cfg),
-        interval_s: cfg.sampling_interval().as_secs_f64(),
-    }
-}
-
-/// Fig. 10: Scenario 3 occupancy, greedy / static / reconf-static /
-/// smart-alloc(4%).
-pub fn fig10(cfg: &RunConfig) -> SeriesFigure {
-    let kind = ScenarioKind::Scenario3;
-    SeriesFigure {
-        id: "fig10".into(),
-        title:
-            "Tmem use per VM, Scenario 3: (a) greedy (b) static (c) reconf-static (d) smart-alloc P=4%"
-                .into(),
-        panels: series_for(
-            kind,
-            &[
-                PolicyKind::Greedy,
-                PolicyKind::StaticAlloc,
-                PolicyKind::ReconfStatic,
-                PolicyKind::SmartAlloc { p: 4.0 },
-            ],
-            cfg,
-        ),
-        vm_names: vm_names(kind, cfg),
-        interval_s: cfg.sampling_interval().as_secs_f64(),
-    }
 }
 
 /// Table II as structured rows (scenario, VM parameters, program).
@@ -441,6 +401,7 @@ mod tests {
             &[PolicyKind::Greedy, PolicyKind::NoTmem],
             &tiny(),
             2,
+            completion_bars,
         );
         assert_eq!(groups.len(), 2);
         for g in &groups {
@@ -454,7 +415,9 @@ mod tests {
 
     #[test]
     fn fig4_produces_two_panels_with_series() {
-        let f = fig4(&tiny());
+        let Figure::Series(f) = produce(find("fig4").unwrap(), &tiny(), 1) else {
+            panic!("fig4 is an occupancy figure");
+        };
         assert_eq!(f.panels.len(), 2);
         assert_eq!(f.vm_names, vec!["VM1", "VM2", "VM3"]);
         for (_, bundle) in &f.panels {
@@ -464,24 +427,26 @@ mod tests {
     }
 
     #[test]
+    fn figure_table_covers_figs_3_to_10_in_order() {
+        let ids: Vec<&str> = FIGURES.iter().map(|d| d.id).collect();
+        assert_eq!(
+            ids,
+            ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"]
+        );
+        assert!(find("fig2").is_none());
+        let fig5 = find("fig5").unwrap();
+        assert_eq!(fig5.fold, Fold::RunBars);
+        assert_eq!(
+            fig5.policies(),
+            PolicyKind::paper_set(ScenarioKind::Scenario2.paper_smart_ps())
+        );
+    }
+
+    #[test]
     fn table2_lists_all_four_scenarios() {
         let rows = table2_rows(&tiny());
         assert_eq!(rows.len(), 4);
         assert!(rows[0].0.starts_with("scenario1"));
         assert_eq!(rows[0].1.len(), 3);
-    }
-
-    #[test]
-    fn figure_helpers_locate_cells() {
-        let groups =
-            running_time_groups(ScenarioKind::Scenario2, &[PolicyKind::Greedy], &tiny(), 1);
-        let fig = FigureData {
-            id: "t".into(),
-            title: "t".into(),
-            groups,
-        };
-        assert!(fig.mean_of("greedy", "VM1/run1").is_some());
-        assert!(fig.mean_of("greedy", "VM9/run1").is_none());
-        assert!(fig.policy_mean("greedy").unwrap() > 0.0);
     }
 }

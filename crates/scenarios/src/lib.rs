@@ -47,6 +47,6 @@ pub use runner::{
     run_cluster, run_scenario, ClusterConfig, ClusterResult, FleetMetrics, RunResult, VmResult,
 };
 pub use spec::{build_scenario, Arrival, FleetParams, ScenarioKind, ScenarioSpec, WorkloadMix};
-pub use trace_check::{verify, verify_cluster, ReplayReport};
+pub use trace_check::{verify_cluster, ReplayReport};
 
 pub use smartmem_core::PolicyKind;

@@ -1,7 +1,7 @@
 //! Rendering: aligned ASCII tables and CSV files for every figure, plus
 //! the fleet (cluster) report.
 
-use crate::figures::{FigureData, SeriesFigure};
+use crate::figures::{Figure, FigureData, SeriesFigure};
 use crate::runner::ClusterResult;
 use std::fmt::Write as _;
 use std::fs;
@@ -10,7 +10,7 @@ use std::path::Path;
 
 /// Render a running-time figure as an aligned matrix: rows = (VM, run)
 /// bars, columns = policies, cells = `mean±std` seconds.
-pub fn render_bars(fig: &FigureData) -> String {
+fn render_bars(fig: &FigureData) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== {} — {} ==", fig.id, fig.title);
     // Collect the union of bar labels, preserving first-seen order.
@@ -60,7 +60,7 @@ pub fn render_bars(fig: &FigureData) -> String {
 /// Render an occupancy figure: one panel per policy, one row per sample
 /// (downsampled to at most `max_rows`), columns = per-VM used pages (and
 /// targets when they differ from the node default).
-pub fn render_series(fig: &SeriesFigure, max_rows: usize) -> String {
+fn render_series(fig: &SeriesFigure, max_rows: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== {} — {} ==", fig.id, fig.title);
     for (policy, bundle) in &fig.panels {
@@ -94,10 +94,8 @@ pub fn render_series(fig: &SeriesFigure, max_rows: usize) -> String {
     out
 }
 
-/// Write a running-time figure as CSV: `bar,policy,mean_s,std_s,n`.
-pub fn write_bars_csv(fig: &FigureData, dir: &Path) -> io::Result<std::path::PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{}.csv", fig.id));
+/// A running-time figure as CSV: `bar,policy,mean_s,std_s,n`.
+fn bars_csv(fig: &FigureData) -> String {
     let mut body = String::from("bar,policy,mean_s,std_s,n\n");
     for g in &fig.groups {
         for b in &g.bars {
@@ -108,14 +106,11 @@ pub fn write_bars_csv(fig: &FigureData, dir: &Path) -> io::Result<std::path::Pat
             );
         }
     }
-    fs::write(&path, body)?;
-    Ok(path)
+    body
 }
 
-/// Write an occupancy figure as CSV: `policy,t_s,vm,used_pages,target_pages`.
-pub fn write_series_csv(fig: &SeriesFigure, dir: &Path) -> io::Result<std::path::PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{}.csv", fig.id));
+/// An occupancy figure as CSV: `policy,t_s,vm,used_pages,target_pages`.
+fn series_csv(fig: &SeriesFigure) -> String {
     let mut body = String::from("policy,t_s,vm,used_pages,target_pages\n");
     for (policy, bundle) in &fig.panels {
         for (vi, name) in fig.vm_names.iter().enumerate() {
@@ -131,6 +126,26 @@ pub fn write_series_csv(fig: &SeriesFigure, dir: &Path) -> io::Result<std::path:
             }
         }
     }
+    body
+}
+
+/// Render a produced figure: bars as a matrix, series downsampled to 24
+/// rows per panel.
+pub fn render_figure(fig: &Figure) -> String {
+    match fig {
+        Figure::Bars(f) => render_bars(f),
+        Figure::Series(f) => render_series(f, 24),
+    }
+}
+
+/// Write a produced figure's CSV as `<dir>/<id>.csv`.
+pub fn write_figure_csv(fig: &Figure, dir: &Path) -> io::Result<std::path::PathBuf> {
+    let (id, body) = match fig {
+        Figure::Bars(f) => (&f.id, bars_csv(f)),
+        Figure::Series(f) => (&f.id, series_csv(f)),
+    };
+    fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{id}.csv"));
     fs::write(&path, body)?;
     Ok(path)
 }
@@ -290,9 +305,7 @@ mod tests {
 
     #[test]
     fn csv_roundtrip_shape() {
-        let dir = std::env::temp_dir().join("smartmem-report-test");
-        let path = write_bars_csv(&fig(), &dir).unwrap();
-        let body = fs::read_to_string(path).unwrap();
+        let body = bars_csv(&fig());
         let lines: Vec<_> = body.lines().collect();
         assert_eq!(lines[0], "bar,policy,mean_s,std_s,n");
         assert_eq!(lines.len(), 3);
@@ -318,7 +331,6 @@ mod tests {
                 },
             )],
             vm_names: vec!["VM1".into()],
-            interval_s: 1.0,
         };
         let s = render_series(&f, 10);
         let rows = s

@@ -103,34 +103,30 @@ fn check<T: PartialEq + std::fmt::Debug>(
     }
 }
 
-/// Replay `result.trace` and verify it against the run's live accounting.
-///
-/// Errors when the run is not verifiable at all: no trace attached, or the
-/// ring buffer dropped events (raise `TraceConfig::capacity`). Mismatches
-/// found during replay are collected in the report, not errors.
-pub fn verify(result: &RunResult) -> Result<ReplayReport, String> {
-    let mut report = ReplayReport::default();
-    let vms = replay_one(result, &mut report)?;
-    check_admission_counters(result, &vms, &mut report);
-    Ok(report)
-}
-
-/// Replay every host of a cluster run and verify the fleet-wide accounting.
+/// Replay the trace of every host of a run (one host for a single-host
+/// run) and verify it against the live accounting.
 ///
 /// Each host's trace is replayed independently (occupancy, fault ledger,
 /// metrics registry, MM counters), then the per-VM admission counters are
 /// *summed across hosts* and checked against the lifetime kernel statistics
 /// reported by whichever host the VM finished on — a migrated VM's kernel
 /// travels with it, so its counters span hosts while each host's trace only
-/// saw its own residency window.
+/// saw its own residency window. With more than one host every mismatch is
+/// prefixed `host{h}: `.
+///
+/// Errors when a run is not verifiable at all: no trace attached, or the
+/// ring buffer dropped events (raise `TraceConfig::capacity`). Mismatches
+/// found during replay are collected in the report, not errors.
 pub fn verify_cluster(hosts: &[RunResult]) -> Result<ReplayReport, String> {
     let mut report = ReplayReport::default();
     let mut merged: BTreeMap<u32, VmReplay> = BTreeMap::new();
     for (h, host) in hosts.iter().enumerate() {
         let before = report.mismatches.len();
         let vms = replay_one(host, &mut report)?;
-        for msg in &mut report.mismatches[before..] {
-            *msg = format!("host{h}: {msg}");
+        if hosts.len() > 1 {
+            for msg in &mut report.mismatches[before..] {
+                *msg = format!("host{h}: {msg}");
+            }
         }
         for (id, v) in vms {
             merged.entry(id).or_default().absorb(&v);

@@ -3,7 +3,7 @@
 //! The acceptance bar for the parallel experiment engine is byte-identical
 //! output — the rendered report text and the CSV bodies of a figure run at
 //! `--jobs 1` and at `--jobs N` must match exactly, not merely "be close".
-//! These tests run the real fig3/table2 paths at a tiny scale under both
+//! These tests run the real figure/table2 paths at a tiny scale under both
 //! engines and compare bytes.
 //!
 //! The heaviest cells (multi-rep and multi-job grids) are `#[ignore]`d so
@@ -18,6 +18,20 @@ use sim_core::trace::TraceConfig;
 use std::fs;
 use std::path::Path;
 
+/// Produce the paper figure `id` ("fig3", ...).
+fn figure(id: &str, cfg: &RunConfig, reps: u64) -> figures::Figure {
+    figures::produce(figures::find(id).expect("a paper figure"), cfg, reps)
+}
+
+/// The CSV `smartmem-cli fig --out` writes for `fig`, via a scratch
+/// directory unique to `tag` (tests run concurrently).
+fn csv(fig: &figures::Figure, tag: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("smartmem-determinism-{tag}"));
+    let body = fs::read_to_string(report::write_figure_csv(fig, &dir).unwrap()).unwrap();
+    let _ = fs::remove_dir_all(dir);
+    body
+}
+
 fn cfg(jobs: usize) -> RunConfig {
     RunConfig {
         scale: 0.01,
@@ -31,49 +45,36 @@ fn cfg(jobs: usize) -> RunConfig {
 #[ignore = "multi-rep fig3 grid (~25 s); CI runs the slow suite via --ignored"]
 fn parallel_fig3_is_byte_identical_to_serial() {
     let reps = 2;
-    let serial = figures::fig3(&cfg(1), reps);
-    let parallel = figures::fig3(&cfg(4), reps);
+    let serial = figure("fig3", &cfg(1), reps);
+    let parallel = figure("fig3", &cfg(4), reps);
 
     // Report text.
     assert_eq!(
-        report::render_bars(&serial),
-        report::render_bars(&parallel),
+        report::render_figure(&serial),
+        report::render_figure(&parallel),
         "fig3 report text differs between --jobs 1 and --jobs 4"
     );
 
-    // CSV bytes.
-    let base = std::env::temp_dir().join("smartmem-determinism-fig3");
-    let dir_s = base.join("serial");
-    let dir_p = base.join("parallel");
-    let path_s = report::write_bars_csv(&serial, &dir_s).unwrap();
-    let path_p = report::write_bars_csv(&parallel, &dir_p).unwrap();
-    let bytes_s = fs::read(path_s).unwrap();
-    let bytes_p = fs::read(path_p).unwrap();
     assert!(
-        bytes_s == bytes_p,
+        csv(&serial, "fig3-serial") == csv(&parallel, "fig3-parallel"),
         "fig3 CSV differs between --jobs 1 and --jobs 4"
     );
-    let _ = fs::remove_dir_all(base);
 }
 
 #[test]
 fn parallel_series_figure_is_byte_identical_to_serial() {
-    let serial = figures::fig4(&cfg(1));
-    let parallel = figures::fig4(&cfg(3));
+    let serial = figure("fig4", &cfg(1), 1);
+    let parallel = figure("fig4", &cfg(3), 1);
     assert_eq!(
-        report::render_series(&serial, 24),
-        report::render_series(&parallel, 24),
+        report::render_figure(&serial),
+        report::render_figure(&parallel),
         "fig4 series report differs between job counts"
     );
 
-    let base = std::env::temp_dir().join("smartmem-determinism-fig4");
-    let path_s = report::write_series_csv(&serial, &base.join("serial")).unwrap();
-    let path_p = report::write_series_csv(&parallel, &base.join("parallel")).unwrap();
     assert!(
-        fs::read(path_s).unwrap() == fs::read(path_p).unwrap(),
+        csv(&serial, "fig4-serial") == csv(&parallel, "fig4-parallel"),
         "fig4 CSV differs between job counts"
     );
-    let _ = fs::remove_dir_all(base);
 }
 
 #[test]
@@ -97,9 +98,9 @@ fn golden(name: &str) -> String {
 #[test]
 #[ignore = "two-rep fig3 grid (~25 s); CI runs the slow suite via --ignored"]
 fn fault_free_fig3_matches_pre_fault_injection_golden() {
-    let fig = figures::fig3(&cfg(4), 2);
+    let fig = figure("fig3", &cfg(4), 2);
     assert_eq!(
-        report::render_bars(&fig),
+        report::render_figure(&fig),
         golden("fig3_s0.01_seed20260806_reps2.txt"),
         "fault-free fig3 output drifted from the pre-PR golden"
     );
@@ -128,9 +129,9 @@ fn fault_free_table2_matches_pre_fault_injection_golden() {
 /// golden pins that fold's rendered output.
 #[test]
 fn fig7_matches_golden() {
-    let fig = figures::fig7(&cfg(2), 2);
+    let fig = figure("fig7", &cfg(2), 2);
     assert_eq!(
-        report::render_bars(&fig),
+        report::render_figure(&fig),
         golden("fig7_s0.01_seed20260806_reps2.txt"),
         "fig7 usemem-span bars drifted from the golden"
     );
@@ -140,13 +141,9 @@ fn fig7_matches_golden() {
 /// pins every CSV byte of that fold.
 #[test]
 fn fig4_series_csv_matches_golden() {
-    let fig = figures::fig4(&cfg(2));
-    let dir = std::env::temp_dir().join("smartmem-golden-fig4");
-    let path = report::write_series_csv(&fig, &dir).unwrap();
-    let csv = fs::read_to_string(path).unwrap();
-    let _ = fs::remove_dir_all(dir);
+    let fig = figure("fig4", &cfg(2), 2);
     assert!(
-        csv == golden("fig4_s0.01_seed20260806.csv"),
+        csv(&fig, "fig4-golden") == golden("fig4_s0.01_seed20260806.csv"),
         "fig4 series CSV drifted from the golden"
     );
 }
@@ -167,9 +164,9 @@ fn fig4_series_csv_matches_golden() {
 fn batched_delivery_matches_pre_batch_goldens_across_engine_widths() {
     let expected = golden("fig3_s0.01_seed20260806_reps2.txt");
     for jobs in [1usize, 8] {
-        let fig = figures::fig3(&cfg(jobs), 2);
+        let fig = figure("fig3", &cfg(jobs), 2);
         assert_eq!(
-            report::render_bars(&fig),
+            report::render_figure(&fig),
             expected,
             "batched dispatch at --jobs {jobs} drifted from the pre-batch fig3 golden"
         );
@@ -313,12 +310,14 @@ fn oversubscribed_jobs_change_nothing() {
         &[scenarios::PolicyKind::Greedy, scenarios::PolicyKind::NoTmem],
         &cfg(1),
         2,
+        figures::completion_bars,
     );
     let groups_wide = figures::running_time_groups(
         scenarios::ScenarioKind::Scenario2,
         &[scenarios::PolicyKind::Greedy, scenarios::PolicyKind::NoTmem],
         &cfg(64),
         2,
+        figures::completion_bars,
     );
     assert_eq!(groups_serial.len(), groups_wide.len());
     for (a, b) in groups_serial.iter().zip(&groups_wide) {

@@ -1,6 +1,6 @@
 //! Replay verification of the flight recorder, end to end.
 //!
-//! The trace schema is a load-bearing contract: `trace_check::verify`
+//! The trace schema is a load-bearing contract: `trace_check::verify_cluster`
 //! re-derives per-VM tmem occupancy, the admission counters and the fault
 //! ledger purely from the event stream and must land exactly on the live
 //! accounting for every covered cell. Two golden files pin the serialized
@@ -61,7 +61,7 @@ fn verify_cells(
                 s.spawn(move || {
                     let r = run_scenario(scenario, policy, &traced_cfg(faults));
                     let cell = format!("{} / {} / chaos {chaos}", r.scenario, r.policy);
-                    let rep = trace_check::verify(&r)
+                    let rep = trace_check::verify_cluster(std::slice::from_ref(&r))
                         .unwrap_or_else(|e| panic!("{cell}: replay unavailable: {e}"));
                     assert!(
                         rep.ok(),
