@@ -70,12 +70,13 @@
 //! where it stopped and produces byte-identical outputs. `--stop-after N`
 //! caps how many cells one invocation runs (useful for exercising resume).
 //!
-//! `trace` runs one cell with the flight recorder attached, replays the
-//! event stream through the [`scenarios::trace_check`] verifier, prints
-//! each host's metrics registry and the replay verdict, and (with `--out`) writes the
-//! trace as JSONL. `--filter subsys=tmem,mm` restricts the *written* file
-//! to those subsystems; the recorder always records (and the verifier
-//! always replays) everything. `inspect` reads a JSONL trace back and
+//! `trace` runs one cell with the flight recorder attached, checks each
+//! host's fold of the event stream with the [`scenarios::trace_check`]
+//! verifier, prints each host's metrics registry and the replay verdict,
+//! and (with `--out`) writes the ring's window of the trace as JSONL.
+//! `--filter subsys=tmem,mm` restricts the *written* file to those
+//! subsystems; the recorder always records (and folds) everything.
+//! `inspect` reads a JSONL trace back, folds it with the same `Fold`, and
 //! summarizes it: per-VM admission/reject/evict counts, the transmitted
 //! target-vector timeline, and a fault-ledger cross-check.
 
@@ -87,9 +88,9 @@ use scenarios::figures;
 use scenarios::report;
 use scenarios::runner::{run_cluster, ClusterConfig, ClusterResult, RunResult};
 use scenarios::spec::{build_scenario, FleetParams, ScenarioKind, ScenarioSpec};
-use sim_core::faults::{NetlinkFate, SampleFate};
 use sim_core::trace::{
-    self, FaultKind, Payload, PutResult, Subsystem, TraceConfig, TraceData, TraceHeader,
+    self, FaultKind, Fold, Payload, PushOutcome, PutResult, Subsystem, TraceConfig, TraceData,
+    TraceHeader,
 };
 use smartmem_core::{FleetConfig, PolicyKind};
 use std::path::{Path, PathBuf};
@@ -843,25 +844,21 @@ fn trace_cmd(mut c: Cell) -> Result<(), String> {
         );
     }
 
-    match scenarios::trace_check::verify_cluster(&cr.host_results) {
-        Ok(rep) if rep.ok() => {
-            println!(
-                "replay: PASS — {} checks over {} events re-derived the live accounting",
-                rep.checks, rep.events
-            );
+    let rep = scenarios::trace_check::verify_cluster(&cr.host_results)?;
+    if !rep.ok() {
+        for mi in &rep.mismatches {
+            eprintln!("replay mismatch: {mi}");
         }
-        Ok(rep) => {
-            for mi in &rep.mismatches {
-                eprintln!("replay mismatch: {mi}");
-            }
-            return Err(format!(
-                "replay verification failed: {} mismatch(es) in {} checks",
-                rep.mismatches.len(),
-                rep.checks
-            ));
-        }
-        Err(e) => return Err(format!("replay verification unavailable: {e}")),
+        return Err(format!(
+            "replay verification failed: {} mismatch(es) in {} checks",
+            rep.mismatches.len(),
+            rep.checks
+        ));
     }
+    println!(
+        "replay: PASS — {} checks over {} events re-derived the live accounting",
+        rep.checks, rep.events
+    );
     if multi {
         print!("{}", report::render_fleet(&cr));
     }
@@ -898,29 +895,15 @@ fn trace_data(r: &RunResult) -> &TraceData {
         .expect("trace was configured, so every host extracts one")
 }
 
-/// Per-VM admission/datapath counters accumulated by `inspect`.
-#[derive(Default)]
-struct VmInspect {
-    stored: u64,
-    replaced: u64,
-    stored_evict: u64,
-    stored_far: u64,
-    reject_target: u64,
-    reject_cap: u64,
-    reject_io: u64,
-    gets: u64,
-    hits: u64,
-    evicted: u64,
-    flushed_pages: u64,
-}
-
-/// `inspect`: parse a JSONL trace and summarize it — per-VM admission and
-/// eviction counts, the transmitted target-vector timeline, and a
-/// cross-check of injected-fault events against the observed fates.
+/// `inspect`: parse a JSONL trace, fold its events, and summarize the fold
+/// — per-VM admission and eviction counts and a cross-check of
+/// injected-fault events against the observed fates — plus the transmitted
+/// target-vector timeline.
 fn inspect_cmd(path: &Path) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     let t = TraceData::parse_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let fold = Fold::of(&t.events);
 
     println!(
         "== {} — {} / {} (seed {}, schema v{}) ==",
@@ -938,33 +921,6 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
     );
 
     // --- per-VM admission / reject / evict table -------------------------
-    let mut vms: std::collections::BTreeMap<u32, VmInspect> = std::collections::BTreeMap::new();
-    for ev in &t.events {
-        let Some(vm) = ev.vm else { continue };
-        let row = vms.entry(vm).or_default();
-        match &ev.payload {
-            Payload::Put { result, .. } => match result {
-                PutResult::Stored => row.stored += 1,
-                PutResult::Replaced => row.replaced += 1,
-                PutResult::StoredEvict => row.stored_evict += 1,
-                PutResult::StoredFar => row.stored_far += 1,
-                PutResult::RejectTarget => row.reject_target += 1,
-                PutResult::RejectCapacity => row.reject_cap += 1,
-                PutResult::RejectIo => row.reject_io += 1,
-            },
-            Payload::Get { hit, .. } => {
-                row.gets += 1;
-                if *hit {
-                    row.hits += 1;
-                }
-            }
-            Payload::Evict { .. } => row.evicted += 1,
-            Payload::Flush { pages, .. } | Payload::PoolDestroy { pages, .. } => {
-                row.flushed_pages += pages;
-            }
-            _ => {}
-        }
-    }
     println!("-- per-VM tmem admission --");
     println!(
         "{:>3} {:>9} {:>9} {:>9} {:>8} {:>10} {:>8} {:>7} {:>9} {:>9} {:>8} {:>9}",
@@ -981,20 +937,24 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
         "evicted",
         "flushed"
     );
-    for (vm, r) in &vms {
+    let mut reject_io_puts = 0;
+    for (vm, v) in &fold.vms {
+        let t = v.traffic();
+        let puts = |r: PutResult| t.puts[r as usize];
+        reject_io_puts += puts(PutResult::RejectIo);
         println!(
             "{vm:>3} {:>9} {:>9} {:>9} {:>8} {:>10} {:>8} {:>7} {:>9} {:>9} {:>8} {:>9}",
-            r.stored,
-            r.replaced,
-            r.stored_evict,
-            r.stored_far,
-            r.reject_target,
-            r.reject_cap,
-            r.reject_io,
-            r.gets,
-            r.hits,
-            r.evicted,
-            r.flushed_pages,
+            puts(PutResult::Stored),
+            puts(PutResult::Replaced),
+            puts(PutResult::StoredEvict),
+            puts(PutResult::StoredFar),
+            puts(PutResult::RejectTarget),
+            puts(PutResult::RejectCapacity),
+            puts(PutResult::RejectIo),
+            t.gets,
+            t.hits,
+            v.evicted,
+            v.flushed_pages,
         );
     }
 
@@ -1022,7 +982,6 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
             );
         }
     };
-    let mut transmissions = 0u64;
     for ev in &t.events {
         if let Payload::MmDecision {
             push_seq,
@@ -1031,7 +990,6 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
             ..
         } = &ev.payload
         {
-            transmissions += 1;
             match &mut pending {
                 Some((_, _, prev, repeats)) if prev == targets => *repeats += 1,
                 _ => {
@@ -1042,7 +1000,7 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
         }
     }
     flush_run(&pending);
-    if transmissions == 0 {
+    if fold.mm_sent == 0 {
         println!("  (none — policy never transmitted a target vector)");
     }
 
@@ -1055,177 +1013,82 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
         println!("  events and fault events are not both guaranteed present");
         return Ok(());
     }
-    let mut injected: std::collections::BTreeMap<&'static str, u64> =
-        std::collections::BTreeMap::new();
-    let mut observed: std::collections::BTreeMap<&'static str, u64> =
-        std::collections::BTreeMap::new();
-    let kinds = [
-        "sample_drop",
-        "sample_delay",
-        "sample_dup",
-        "netlink_drop",
-        "netlink_reorder",
-        "hypercall_fail",
-        "mm_crash",
-    ];
-    for k in kinds {
-        injected.insert(k, 0);
-        observed.insert(k, 0);
-    }
-    // Data-plane tallies, cross-checked as *pairings* rather than per-kind
-    // (a bit flip is observed as a later CorruptDetected, not as itself).
-    let mut bitflips = 0u64;
-    let mut torn = 0u64;
-    let mut eph_losses = 0u64;
-    let mut io_fails = 0u64;
-    let mut brownout_rejects = 0u64;
-    let mut brownout_ticks = 0u64;
-    let mut detected = 0u64;
-    let mut recovered = 0u64;
-    let mut reject_io_puts = 0u64;
-    let mut scrub_passes = 0u64;
-    let mut quarantined = 0u64;
-    for ev in &t.events {
-        match &ev.payload {
-            Payload::Fault { kind } => {
-                let k = match kind {
-                    FaultKind::SampleDrop => "sample_drop",
-                    FaultKind::SampleDelay => "sample_delay",
-                    FaultKind::SampleDuplicate => "sample_dup",
-                    FaultKind::NetlinkDrop => "netlink_drop",
-                    FaultKind::NetlinkReorder => "netlink_reorder",
-                    FaultKind::HypercallFail => "hypercall_fail",
-                    FaultKind::MmCrash => "mm_crash",
-                    FaultKind::PageBitflip => {
-                        bitflips += 1;
-                        continue;
-                    }
-                    FaultKind::TornWrite => {
-                        torn += 1;
-                        continue;
-                    }
-                    FaultKind::EphemeralLoss => {
-                        eph_losses += 1;
-                        continue;
-                    }
-                    FaultKind::PutIoFail => {
-                        io_fails += 1;
-                        continue;
-                    }
-                    FaultKind::BrownoutReject => {
-                        brownout_rejects += 1;
-                        continue;
-                    }
-                    FaultKind::BrownoutTick => {
-                        brownout_ticks += 1;
-                        continue;
-                    }
-                    FaultKind::CorruptDetected => {
-                        detected += 1;
-                        continue;
-                    }
-                    FaultKind::CorruptRecovered => {
-                        recovered += 1;
-                        continue;
-                    }
-                };
-                *injected.get_mut(k).expect("seeded") += 1;
-            }
-            Payload::Put {
-                result: PutResult::RejectIo,
-                ..
-            } => reject_io_puts += 1,
-            Payload::Scrub { quarantined: q, .. } => {
-                scrub_passes += 1;
-                quarantined += q;
-            }
-            Payload::VirqSample { fate, .. } => match fate {
-                SampleFate::Drop => *observed.get_mut("sample_drop").expect("seeded") += 1,
-                SampleFate::Delay => *observed.get_mut("sample_delay").expect("seeded") += 1,
-                SampleFate::Duplicate => *observed.get_mut("sample_dup").expect("seeded") += 1,
-                SampleFate::Deliver => {}
-            },
-            Payload::NetlinkStats { fate, .. } => match fate {
-                NetlinkFate::Drop => *observed.get_mut("netlink_drop").expect("seeded") += 1,
-                NetlinkFate::Reorder => *observed.get_mut("netlink_reorder").expect("seeded") += 1,
-                NetlinkFate::Deliver => {}
-            },
-            Payload::RelayPush { outcome, .. } => {
-                // Every failed hypercall attempt surfaces as a parked or
-                // abandoned push; successes and supersedes do not.
-                if matches!(
-                    outcome,
-                    trace::PushOutcome::Parked | trace::PushOutcome::Abandoned
-                ) {
-                    *observed.get_mut("hypercall_fail").expect("seeded") += 1;
-                }
-            }
-            Payload::MmCrash { .. } => *observed.get_mut("mm_crash").expect("seeded") += 1,
-            _ => {}
-        }
-    }
+    let led = fold.ledger();
     let mut mismatched = 0u64;
+    let mut verdict = |ok: bool| {
+        if ok {
+            "OK"
+        } else {
+            mismatched += 1;
+            "MISMATCH"
+        }
+    };
     println!(
         "  {:<16} {:>9} {:>9}  verdict",
         "kind", "injected", "observed"
     );
-    for k in kinds {
-        let (i, o) = (injected[k], observed[k]);
-        let verdict = if i == o {
-            "OK"
-        } else {
-            mismatched += 1;
-            "MISMATCH"
-        };
-        println!("  {k:<16} {i:>9} {o:>9}  {verdict}");
+    // (fault kind, observed fates)
+    let control = [
+        (FaultKind::SampleDrop, led.samples_dropped),
+        (FaultKind::SampleDelay, led.samples_delayed),
+        (FaultKind::SampleDuplicate, led.samples_duplicated),
+        (FaultKind::NetlinkDrop, led.netlink_dropped),
+        (FaultKind::NetlinkReorder, led.netlink_reordered),
+        // Every failed hypercall attempt surfaces as a parked or abandoned
+        // push; successes and supersedes do not.
+        (
+            FaultKind::HypercallFail,
+            fold.pushes[PushOutcome::Parked as usize] + led.hypercalls_abandoned,
+        ),
+        (FaultKind::MmCrash, led.mm_crashes),
+    ];
+    for (kind, o) in control {
+        let i = fold.fault(kind);
+        println!("  {:<16} {i:>9} {o:>9}  {}", kind.as_str(), verdict(i == o));
     }
+    // Data-plane pairings: an injected corruption is observed as a later
+    // detection (get/flush/reclaim/scrub), an injected put I/O failure or
+    // brownout rejection as a `reject_io` put result.
+    let (bitflips, torn, detected, recovered) = (
+        led.bitflips_injected,
+        led.torn_writes_injected,
+        led.corruptions_detected,
+        led.corruptions_recovered,
+    );
+    let (io_fails, brownout_rejects) = (led.put_io_failures_injected, led.brownout_rejections);
     let data_active = bitflips
         + torn
-        + eph_losses
+        + led.ephemeral_losses_injected
         + io_fails
         + brownout_rejects
-        + brownout_ticks
+        + led.brownout_ticks
         + detected
         + recovered
-        + scrub_passes
+        + led.scrub_passes
         > 0;
     if data_active {
-        // Data-plane pairings: an injected corruption is observed as a
-        // later detection (get/flush/reclaim/scrub), an injected put I/O
-        // failure or brownout rejection as a `reject_io` put result.
         println!("-- data-plane integrity cross-check --");
         let corrupt_injected = bitflips + torn;
-        let verdict = if detected == corrupt_injected {
-            "OK"
-        } else {
-            mismatched += 1;
-            "MISMATCH"
-        };
         println!(
             "  corruption: injected {corrupt_injected} (bitflip {bitflips} + torn {torn}), \
-             detected {detected}  {verdict}"
+             detected {detected}  {}",
+            verdict(detected == corrupt_injected)
         );
-        let io_injected = io_fails + brownout_rejects;
-        let verdict = if reject_io_puts == io_injected {
-            "OK"
-        } else {
-            mismatched += 1;
-            "MISMATCH"
-        };
         println!(
             "  put I/O: injected {io_fails} + brownout-rejected {brownout_rejects}, \
-             reject_io puts {reject_io_puts}  {verdict}"
+             reject_io puts {reject_io_puts}  {}",
+            verdict(reject_io_puts == io_fails + brownout_rejects)
         );
-        let verdict = if recovered <= detected {
-            "OK"
-        } else {
-            mismatched += 1;
-            "MISMATCH"
-        };
-        println!("  recovery: {recovered} of {detected} detections recovered in-guest  {verdict}");
         println!(
-            "  losses={eph_losses} brownout_ticks={brownout_ticks} \
-             scrubs={scrub_passes} quarantined_objects={quarantined}"
+            "  recovery: {recovered} of {detected} detections recovered in-guest  {}",
+            verdict(recovered <= detected)
+        );
+        println!(
+            "  losses={} brownout_ticks={} scrubs={} quarantined_objects={}",
+            led.ephemeral_losses_injected,
+            led.brownout_ticks,
+            led.scrub_passes,
+            led.objects_quarantined
         );
     }
     if mismatched > 0 {

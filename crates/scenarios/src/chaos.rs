@@ -150,9 +150,8 @@ pub struct ChaosCell {
     /// Fault + degradation accounting.
     pub ledger: FaultLedger,
     /// Replay-verifier mismatch count for this cell — `Some` only when the
-    /// run was traced (`RunConfig::trace`); `u64::MAX` flags a cell whose
-    /// trace was not verifiable at all (ring overflow). `None` leaves the
-    /// rendered report byte-identical to a build without the recorder.
+    /// run was traced (`RunConfig::trace`). `None` leaves the rendered
+    /// report byte-identical to a build without the recorder.
     pub replay_mismatches: Option<u64>,
 }
 
@@ -225,7 +224,9 @@ pub fn run_chaos(
         // wrong (retries, supersedes, crashes), so verify them in place.
         let replay = cell_cfg.trace.is_some().then(|| {
             crate::trace_check::verify_cluster(std::slice::from_ref(&r))
-                .map_or(u64::MAX, |rep| rep.mismatches.len() as u64)
+                .expect("the recorder was configured")
+                .mismatches
+                .len() as u64
         });
         (name, replay, r)
     });
@@ -285,10 +286,7 @@ impl ChaosReport {
     /// Total replay-verifier mismatches across traced cells (0 when
     /// tracing was disabled).
     pub fn replay_mismatches(&self) -> u64 {
-        self.cells
-            .iter()
-            .filter_map(|c| c.replay_mismatches)
-            .fold(0u64, u64::saturating_add)
+        self.cells.iter().filter_map(|c| c.replay_mismatches).sum()
     }
 
     /// Injected page corruptions that no detection ever accounted for,
@@ -386,11 +384,7 @@ impl ChaosReport {
                 ));
             }
             if let Some(n) = c.replay_mismatches {
-                out.push_str(&if n == u64::MAX {
-                    "  replay: UNVERIFIABLE (trace ring overflowed)\n".to_string()
-                } else {
-                    format!("  replay: {n} mismatches\n")
-                });
+                out.push_str(&format!("  replay: {n} mismatches\n"));
             }
         }
         out.push_str(&format!(

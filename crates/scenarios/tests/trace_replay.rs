@@ -1,9 +1,9 @@
 //! Replay verification of the flight recorder, end to end.
 //!
 //! The trace schema is a load-bearing contract: `trace_check::verify_cluster`
-//! re-derives per-VM tmem occupancy, the admission counters and the fault
-//! ledger purely from the event stream and must land exactly on the live
-//! accounting for every covered cell. Two golden files pin the serialized
+//! checks the fold of the event stream (per-VM tmem occupancy, the
+//! admission counters and the fault ledger) against the live accounting,
+//! and it must land exactly for every covered cell. Two golden files pin the serialized
 //! JSONL form byte-exactly — one synthetic trace exercising every payload
 //! variant, and one real (filtered) run. Regenerate them after a deliberate
 //! schema change with:
@@ -20,7 +20,7 @@ use sim_core::cost::CostModel;
 use sim_core::faults::{FaultProfile, NetlinkFate, SampleFate};
 use sim_core::time::SimTime;
 use sim_core::trace::{
-    FaultKind, Payload, PushOutcome, PutResult, Recorder, Subsystem, TraceConfig, TraceData,
+    FaultKind, Fold, Payload, PushOutcome, PutResult, Recorder, Subsystem, TraceConfig, TraceData,
     TraceHeader, Tracer, TRACE_SCHEMA_VERSION,
 };
 use std::path::{Path, PathBuf};
@@ -131,6 +131,51 @@ fn replay_reproduces_live_accounting_across_the_grid() {
     verify_cells(cells);
 }
 
+/// A ring far smaller than the run drops most events, but the recorder
+/// folds every event before the ring sees it, so replay still covers the
+/// whole run — and still catches a live counter that disagrees with it.
+#[test]
+fn replay_survives_a_dropping_ring_and_names_mismatches() {
+    let cfg = RunConfig {
+        trace: Some(TraceConfig { capacity: 4096 }),
+        ..traced_cfg(FaultProfile::none())
+    };
+    let mut r = run_scenario(
+        ScenarioKind::Scenario1,
+        scenarios::PolicyKind::SmartAlloc { p: 2.0 },
+        &cfg,
+    );
+    let data = r.trace.as_ref().expect("trace was configured");
+    assert!(data.dropped_oldest > 0, "the ring must overflow");
+    let rep = trace_check::verify_cluster(std::slice::from_ref(&r)).expect("trace attached");
+    assert!(
+        rep.ok(),
+        "replay diverged from live accounting:\n  {}",
+        rep.mismatches.join("\n  ")
+    );
+    assert_eq!(
+        rep.events as u64,
+        data.events.len() as u64 + data.dropped_oldest,
+        "replay folds every recorded event, dropped ones included"
+    );
+
+    r.final_tmem_used[0] += 1;
+    r.faults.samples_delivered += 1;
+    let rep = trace_check::verify_cluster(std::slice::from_ref(&r)).expect("trace attached");
+    let name = &r.vm_results[0].name;
+    for what in [
+        format!("final occupancy[{name}]"),
+        "ledger.samples_delivered".to_string(),
+    ] {
+        assert!(
+            rep.mismatches.iter().any(|m| m.starts_with(&what)),
+            "no mismatch names {what}: {:?}",
+            rep.mismatches
+        );
+    }
+    assert_eq!(rep.mismatches.len(), 2, "{:?}", rep.mismatches);
+}
+
 /// JSONL round-trip: parse(to_jsonl(trace)) returns the same events and
 /// header fields, and re-serializing the parsed events is byte-stable.
 #[test]
@@ -161,10 +206,16 @@ fn jsonl_round_trips_exactly() {
     assert_eq!(parsed.filter, None);
     assert_eq!(parsed.events, data.events, "events must round-trip exactly");
 
+    assert_eq!(
+        Fold::of(&parsed.events),
+        data.fold,
+        "folding the parsed events must give the recorder's online fold"
+    );
+
     let re = TraceData {
         events: parsed.events,
         dropped_oldest: parsed.dropped_oldest,
-        metrics: Default::default(), // metrics are not serialized
+        ..TraceData::default() // metrics and the fold are not serialized
     };
     assert_eq!(
         re.to_jsonl(&header, None),

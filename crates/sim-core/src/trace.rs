@@ -11,27 +11,30 @@
 //!   rescale inputs,
 //! * fault layer: every injected fault.
 //!
-//! Events carry `(SimTime, vm, subsystem, payload)` and flow into a bounded
-//! ring buffer inside a [`Recorder`]; a [`TraceMetrics`] registry (counters
-//! plus [`Histogram`]s of put latency and relay queue depth) aggregates
-//! alongside. The handle every component holds is a [`Tracer`] — a cheap
-//! clone of an `Option<Rc<RefCell<Recorder>>>`. When tracing is disabled
-//! the option is `None` and [`Tracer::emit`] is a single branch: the
-//! closure that would build the event is never called, so disabled runs
-//! stay byte-identical to a build without the recorder.
+//! Events carry `(SimTime, vm, subsystem, payload)`. A [`Recorder`] folds
+//! each event once into a [`Fold`] (occupancy, per-VM admission counts,
+//! fault and fate counts, MM sequence gaps, migration flows) and then pushes
+//! it into a bounded ring, the window the JSONL form writes. The fold sees
+//! every event, including those the ring later drops, and the
+//! [`TraceMetrics`] registry (counters plus [`Histogram`]s of put latency
+//! and relay queue depth) is read off it. The handle every component holds
+//! is a [`Tracer`] — a cheap clone of an `Option<Rc<RefCell<Recorder>>>`.
+//! When tracing is disabled the option is `None` and [`Tracer::emit`] is a
+//! single branch: the closure that would build the event is never called,
+//! so disabled runs stay byte-identical to a build without the recorder.
 //!
-//! The schema is a load-bearing contract: `scenarios::trace_check` re-derives
-//! tmem occupancy and the fault ledger purely from the event stream and
-//! asserts they match the live accounting, and a golden JSONL file pins the
+//! The schema is a load-bearing contract: `scenarios::trace_check` compares
+//! each host's fold with the live accounting, `inspect` folds a parsed
+//! JSONL trace with the same [`Fold`], and a golden JSONL file pins the
 //! serialized form byte-exactly.
 
 use crate::cost::CostModel;
-use crate::faults::{NetlinkFate, SampleFate};
+use crate::faults::{FaultLedger, NetlinkFate, SampleFate};
 use crate::metrics::Histogram;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -143,6 +146,17 @@ pub enum PutResult {
 }
 
 impl PutResult {
+    /// Every outcome, in discriminant order.
+    const ALL: [PutResult; 7] = [
+        PutResult::Stored,
+        PutResult::Replaced,
+        PutResult::StoredEvict,
+        PutResult::RejectTarget,
+        PutResult::RejectCapacity,
+        PutResult::RejectIo,
+        PutResult::StoredFar,
+    ];
+
     /// Whether the page ended up in tmem (local or far tier).
     pub fn is_success(self) -> bool {
         matches!(
@@ -254,7 +268,8 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    fn as_str(self) -> &'static str {
+    /// Stable snake-case label used in the JSONL form.
+    pub fn as_str(self) -> &'static str {
         match self {
             FaultKind::SampleDrop => "sample_drop",
             FaultKind::SampleDelay => "sample_delay",
@@ -566,8 +581,8 @@ pub struct TraceEvent {
     pub payload: Payload,
 }
 
-/// Aggregated metrics registry, maintained by the [`Recorder`] as events
-/// arrive. All fields are exact counts; merging across cells is exact.
+/// Aggregated metrics registry, read off the recorder's [`Fold`] when the
+/// recording is drained. All fields are exact counts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceMetrics {
     /// Total puts attempted.
@@ -614,39 +629,402 @@ impl TraceMetrics {
             self.puts_rejected as f64 / self.puts as f64
         }
     }
+}
 
-    /// Fold another registry into this one (exact).
-    pub fn merge(&mut self, other: &TraceMetrics) {
-        self.puts += other.puts;
-        self.puts_rejected += other.puts_rejected;
-        self.gets += other.gets;
-        self.get_hits += other.get_hits;
-        self.flush_pages += other.flush_pages;
-        self.evictions += other.evictions;
-        self.reclaimed_pages += other.reclaimed_pages;
-        self.virq_samples += other.virq_samples;
-        self.relay_enqueued += other.relay_enqueued;
-        self.relay_shed += other.relay_shed;
-        self.relay_pushes += other.relay_pushes;
-        self.relay_retries += other.relay_retries;
-        self.mm_decisions += other.mm_decisions;
-        self.faults_injected += other.faults_injected;
-        self.put_latency.merge(&other.put_latency);
-        self.relay_depth.merge(&other.relay_depth);
+/// Number of [`FaultKind`] variants (the length of [`Fold::faults`]).
+const FAULT_KINDS: usize = FaultKind::CorruptRecovered as usize + 1;
+
+/// What one VM sent to one kind of pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PoolTraffic {
+    /// Puts by outcome, indexed by `PutResult as usize`.
+    pub puts: [u64; 7],
+    /// Gets issued.
+    pub gets: u64,
+    /// Gets that hit.
+    pub hits: u64,
+    /// Single-page flushes issued.
+    pub flushes: u64,
+}
+
+impl PoolTraffic {
+    /// Puts that stored the page (locally or in the far tier).
+    pub fn puts_ok(&self) -> u64 {
+        PutResult::ALL
+            .iter()
+            .filter(|r| r.is_success())
+            .map(|&r| self.puts[r as usize])
+            .sum()
+    }
+
+    /// Puts that were rejected.
+    pub fn puts_failed(&self) -> u64 {
+        self.puts.iter().sum::<u64>() - self.puts_ok()
+    }
+}
+
+/// One VM's state folded from the event stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct VmFold {
+    /// Local tmem frames held.
+    pub local: i64,
+    /// Far-tier entries held.
+    pub far: i64,
+    /// Traffic on persistent (frontswap) pools.
+    pub frontswap: PoolTraffic,
+    /// Traffic on ephemeral (cleancache) pools.
+    pub ephemeral: PoolTraffic,
+    /// Pages of this VM evicted to make room for another put.
+    pub evicted: u64,
+    /// Frames freed by this VM's flushes and pool destroys.
+    pub flushed_pages: u64,
+    /// Frames reclaimed over target.
+    pub reclaimed: u64,
+    /// Migrated-in pages that found no tmem room and spilled to swap.
+    pub spilled: u64,
+}
+
+impl VmFold {
+    fn pool(&mut self, ephemeral: bool) -> &mut PoolTraffic {
+        if ephemeral {
+            &mut self.ephemeral
+        } else {
+            &mut self.frontswap
+        }
+    }
+
+    /// Traffic on both pool kinds together.
+    pub fn traffic(&self) -> PoolTraffic {
+        let (f, e) = (&self.frontswap, &self.ephemeral);
+        PoolTraffic {
+            puts: std::array::from_fn(|i| f.puts[i] + e.puts[i]),
+            gets: f.gets + e.gets,
+            hits: f.hits + e.hits,
+            flushes: f.flushes + e.flushes,
+        }
+    }
+}
+
+/// Pages and VMs that crossed hosts, as one host's trace saw them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Migrations {
+    /// `MigrateOut` events.
+    pub out: u64,
+    /// `MigrateIn` events.
+    pub into: u64,
+    /// Σ `pages + far` exported.
+    pub exported: u64,
+    /// Σ corrupt pages dropped at export.
+    pub purged: u64,
+    /// Σ `pages + far` landed in local tmem or the far tier.
+    pub landed: u64,
+    /// Σ pages that spilled to swap on import.
+    pub spilled: u64,
+}
+
+/// The one fold over a trace event stream. [`Fold::apply`] reads only the
+/// event itself, so folding a recording online (the [`Recorder`] does, for
+/// every event, before the ring can drop it) and folding the events parsed
+/// back from its JSONL give the same state. Memory is O(VMs + pools +
+/// intervals), independent of the number of events.
+///
+/// Rules: a frame-consuming put is +1 local occupancy for the putting VM;
+/// `Evict` is −1 for the victim; a get that frees its frame is −1;
+/// `Flush`/`PoolDestroy`/`Reclaim`/`DataPurge` subtract their page counts.
+/// A `stored_far` put is +1 far occupancy, `FarGet` −1, `FarFlush` subtracts
+/// its count. `MigrateOut` removes the exported and purged pages,
+/// `MigrateIn` credits what landed. MM sequence gaps follow the MM's own
+/// rule: a fresh snapshot more than one above the previous is a gap, and a
+/// crash resets the high-water mark.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Fold {
+    /// Events folded.
+    pub events: u64,
+    /// Per-VM state, by VM id.
+    pub vms: BTreeMap<u32, VmFold>,
+    /// Pools announced ephemeral by `PoolCreate`.
+    ephemeral_pools: BTreeSet<u32>,
+    /// Injected faults, indexed by `FaultKind as usize`.
+    pub faults: [u64; FAULT_KINDS],
+    /// VIRQ samples, indexed by `SampleFate as usize`.
+    pub samples: [u64; 4],
+    /// Netlink stats messages, indexed by `NetlinkFate as usize`.
+    pub netlink: [u64; 3],
+    /// Relay push attempts, indexed by `PushOutcome as usize`.
+    pub pushes: [u64; 4],
+    /// Push attempts numbered ≥ 2.
+    pub push_retries: u64,
+    /// Of those, the real retries: a `Superseded` marker re-reports the old
+    /// push's attempt count without making a new attempt.
+    pub hypercall_retries: u64,
+    /// Relay queue depth at each enqueue.
+    pub relay_depth: Histogram,
+    /// Stats messages shed at relay capacity.
+    pub relay_shed: u64,
+    /// MM decisions.
+    pub mm_decisions: u64,
+    /// MM decisions that transmitted a target vector.
+    pub mm_sent: u64,
+    /// Snapshots the MM discarded.
+    pub mm_discards: u64,
+    /// MM crashes.
+    pub mm_crashes: u64,
+    /// MM restarts.
+    pub mm_restarts: u64,
+    /// Snapshot-sequence gaps seen by the MM.
+    pub seq_gaps: u64,
+    last_seq: Option<u64>,
+    /// Intervals spent in stale-target fallback.
+    pub stale_intervals: u64,
+    /// Intervals whose accounting invariant check failed.
+    pub invariant_violations: u64,
+    /// Per-VM local occupancy at each `IntervalClose`, as `(vm, frames)`
+    /// in VM-id order.
+    pub intervals: Vec<Vec<(u32, i64)>>,
+    /// Scrubber passes.
+    pub scrub_passes: u64,
+    /// Pages the scrubber checked.
+    pub scrub_checked: u64,
+    /// Objects the scrubber quarantined.
+    pub quarantined: u64,
+    /// Cross-host migration flows.
+    pub migrations: Migrations,
+}
+
+impl Fold {
+    /// Fold one event.
+    pub fn apply(&mut self, ev: &TraceEvent) {
+        self.events += 1;
+        // Node-wide events update a throwaway row.
+        let mut node = VmFold::default();
+        let vm = match ev.vm {
+            Some(id) => self.vms.entry(id).or_default(),
+            None => &mut node,
+        };
+        let is_ephemeral = |pool: &u32| self.ephemeral_pools.contains(pool);
+        match &ev.payload {
+            Payload::PoolCreate { pool, ephemeral } => {
+                if *ephemeral {
+                    self.ephemeral_pools.insert(*pool);
+                }
+            }
+            Payload::Put { pool, result, .. } => {
+                vm.pool(is_ephemeral(pool)).puts[*result as usize] += 1;
+                if result.consumed_frame() {
+                    vm.local += 1;
+                }
+                if *result == PutResult::StoredFar {
+                    vm.far += 1;
+                }
+            }
+            Payload::Evict { .. } => {
+                vm.evicted += 1;
+                vm.local -= 1;
+            }
+            Payload::Get { pool, hit, freed } => {
+                let t = vm.pool(is_ephemeral(pool));
+                t.gets += 1;
+                t.hits += u64::from(*hit);
+                vm.local -= i64::from(*freed);
+            }
+            Payload::Flush { pool, pages } => {
+                vm.pool(is_ephemeral(pool)).flushes += 1;
+                vm.flushed_pages += pages;
+                vm.local -= *pages as i64;
+            }
+            Payload::PoolDestroy { pages, .. } => {
+                vm.flushed_pages += pages;
+                vm.local -= *pages as i64;
+            }
+            Payload::Reclaim { pages, .. } => {
+                vm.reclaimed += pages;
+                vm.local -= *pages as i64;
+            }
+            // A silent drop (ephemeral loss, corrupt page, quarantine): the
+            // guest issued no hypercall, so only occupancy moves.
+            Payload::DataPurge { pages, .. } => vm.local -= *pages as i64,
+            // The paired `Get` carried `freed: false`: only far occupancy moves.
+            Payload::FarGet { .. } => vm.far -= 1,
+            Payload::FarFlush { pages, .. } => vm.far -= *pages as i64,
+            Payload::TargetsApplied { .. } | Payload::MigrateDone { .. } => {}
+            Payload::VirqSample { fate, .. } => self.samples[*fate as usize] += 1,
+            Payload::IntervalClose { stale, ok, .. } => {
+                self.stale_intervals += u64::from(*stale);
+                self.invariant_violations += u64::from(!*ok);
+                let snapshot = self.vms.iter().map(|(&id, v)| (id, v.local)).collect();
+                self.intervals.push(snapshot);
+            }
+            Payload::NetlinkStats { fate, .. } => self.netlink[*fate as usize] += 1,
+            Payload::RelayEnqueue { depth, .. } => self.relay_depth.record(*depth),
+            Payload::RelayShed { .. } => self.relay_shed += 1,
+            Payload::RelayPush {
+                attempt, outcome, ..
+            } => {
+                self.pushes[*outcome as usize] += 1;
+                if *attempt >= 2 {
+                    self.push_retries += 1;
+                    self.hypercall_retries += u64::from(*outcome != PushOutcome::Superseded);
+                }
+            }
+            Payload::MmDecision { seq_in, sent, .. } => {
+                self.mm_decisions += 1;
+                self.mm_sent += u64::from(*sent);
+                if self.last_seq.is_some_and(|last| *seq_in > last + 1) {
+                    self.seq_gaps += 1;
+                }
+                self.last_seq = Some(*seq_in);
+            }
+            Payload::MmDiscard { .. } => self.mm_discards += 1,
+            Payload::MmCrash { .. } => {
+                self.mm_crashes += 1;
+                self.last_seq = None;
+            }
+            Payload::MmRestart => self.mm_restarts += 1,
+            Payload::Fault { kind } => self.faults[*kind as usize] += 1,
+            Payload::Scrub {
+                checked,
+                quarantined,
+                ..
+            } => {
+                self.scrub_passes += 1;
+                self.scrub_checked += checked;
+                self.quarantined += quarantined;
+            }
+            Payload::MigrateOut {
+                pages, far, purged, ..
+            } => {
+                vm.local -= (pages + purged) as i64;
+                vm.far -= *far as i64;
+                let m = &mut self.migrations;
+                m.out += 1;
+                m.exported += pages + far;
+                m.purged += purged;
+            }
+            Payload::MigrateIn {
+                pages,
+                far,
+                spilled,
+            } => {
+                vm.local += *pages as i64;
+                vm.far += *far as i64;
+                vm.spilled += spilled;
+                let m = &mut self.migrations;
+                m.into += 1;
+                m.landed += pages + far;
+                m.spilled += spilled;
+            }
+        }
+    }
+
+    /// Fold a whole event list.
+    pub fn of(events: &[TraceEvent]) -> Self {
+        let mut fold = Fold::default();
+        for ev in events {
+            fold.apply(ev);
+        }
+        fold
+    }
+
+    /// Injected faults of one kind.
+    pub fn fault(&self, kind: FaultKind) -> u64 {
+        self.faults[kind as usize]
+    }
+
+    /// The fault ledger these events imply.
+    pub fn ledger(&self) -> FaultLedger {
+        let sample = |f: SampleFate| self.samples[f as usize];
+        let m = &self.migrations;
+        FaultLedger {
+            samples_delivered: sample(SampleFate::Deliver),
+            samples_dropped: sample(SampleFate::Drop),
+            samples_delayed: sample(SampleFate::Delay),
+            samples_duplicated: sample(SampleFate::Duplicate),
+            netlink_dropped: self.netlink[NetlinkFate::Drop as usize],
+            netlink_reordered: self.netlink[NetlinkFate::Reorder as usize],
+            hypercalls_failed: self.fault(FaultKind::HypercallFail),
+            hypercall_retries: self.hypercall_retries,
+            hypercalls_abandoned: self.pushes[PushOutcome::Abandoned as usize],
+            hypercalls_superseded: self.pushes[PushOutcome::Superseded as usize],
+            mm_crashes: self.mm_crashes,
+            mm_restarts: self.mm_restarts,
+            seq_gaps: self.seq_gaps,
+            snapshots_discarded: self.mm_discards,
+            stale_intervals: self.stale_intervals,
+            invariant_checks: self.intervals.len() as u64,
+            invariant_violations: self.invariant_violations,
+            bitflips_injected: self.fault(FaultKind::PageBitflip),
+            torn_writes_injected: self.fault(FaultKind::TornWrite),
+            ephemeral_losses_injected: self.fault(FaultKind::EphemeralLoss),
+            put_io_failures_injected: self.fault(FaultKind::PutIoFail),
+            brownout_rejections: self.fault(FaultKind::BrownoutReject),
+            brownout_ticks: self.fault(FaultKind::BrownoutTick),
+            corruptions_detected: self.fault(FaultKind::CorruptDetected),
+            corruptions_recovered: self.fault(FaultKind::CorruptRecovered),
+            objects_quarantined: self.quarantined,
+            scrub_passes: self.scrub_passes,
+            scrub_pages_checked: self.scrub_checked,
+            migrations_out: m.out,
+            migrations_in: m.into,
+            migrate_pages: m.exported,
+            migrate_purged: m.purged,
+            migrate_spilled: m.spilled,
+        }
+    }
+
+    /// The metrics registry. `cost` supplies the put latencies; without it
+    /// the latency histogram stays empty.
+    pub fn metrics(&self, cost: Option<&CostModel>) -> TraceMetrics {
+        let mut all = PoolTraffic::default();
+        let (mut flush_pages, mut evictions, mut reclaimed_pages) = (0, 0, 0);
+        for v in self.vms.values() {
+            let t = v.traffic();
+            for (a, b) in all.puts.iter_mut().zip(t.puts) {
+                *a += b;
+            }
+            all.gets += t.gets;
+            all.hits += t.hits;
+            flush_pages += v.flushed_pages;
+            evictions += v.evicted;
+            reclaimed_pages += v.reclaimed;
+        }
+        let (ok, rejected) = (all.puts_ok(), all.puts_failed());
+        let mut put_latency = Histogram::new();
+        if let Some(cost) = cost {
+            put_latency.record_n(cost.tmem_hypercall.as_nanos(), ok);
+            put_latency.record_n(cost.tmem_hypercall_nocopy.as_nanos(), rejected);
+        }
+        TraceMetrics {
+            puts: ok + rejected,
+            puts_rejected: rejected,
+            gets: all.gets,
+            get_hits: all.hits,
+            flush_pages,
+            evictions,
+            reclaimed_pages,
+            virq_samples: self.samples.iter().sum(),
+            relay_enqueued: self.relay_depth.count(),
+            relay_shed: self.relay_shed,
+            relay_pushes: self.pushes.iter().sum(),
+            relay_retries: self.push_retries,
+            mm_decisions: self.mm_decisions,
+            faults_injected: self.faults.iter().sum(),
+            put_latency,
+            relay_depth: self.relay_depth.clone(),
+        }
     }
 }
 
 /// The per-run event sink: a clock cell, a bounded ring of events, and the
-/// metrics registry. Owned behind `Rc<RefCell<…>>` by every [`Tracer`]
-/// clone in one simulation cell; never crosses threads (only the plain
-/// [`TraceData`] extracted at the end does).
+/// [`Fold`] every event passes through first. Owned behind
+/// `Rc<RefCell<…>>` by every [`Tracer`] clone in one simulation cell; never
+/// crosses threads (only the plain [`TraceData`] extracted at the end does).
 #[derive(Debug)]
 pub struct Recorder {
     now: SimTime,
     capacity: usize,
     ring: VecDeque<TraceEvent>,
     dropped_oldest: u64,
-    metrics: TraceMetrics,
+    fold: Fold,
     cost: Option<CostModel>,
 }
 
@@ -659,77 +1037,24 @@ impl Recorder {
             capacity: capacity.max(1),
             ring: VecDeque::new(),
             dropped_oldest: 0,
-            metrics: TraceMetrics::default(),
+            fold: Fold::default(),
             cost,
         }
     }
 
     fn record(&mut self, vm: Option<u32>, subsystem: Subsystem, payload: Payload) {
-        match &payload {
-            Payload::Put { result, .. } => {
-                self.metrics.puts += 1;
-                if !result.is_success() {
-                    self.metrics.puts_rejected += 1;
-                }
-                if let Some(cost) = &self.cost {
-                    let lat = if result.is_success() {
-                        cost.tmem_hypercall
-                    } else {
-                        cost.tmem_hypercall_nocopy
-                    };
-                    self.metrics.put_latency.record(lat.as_nanos());
-                }
-            }
-            Payload::Evict { .. } => self.metrics.evictions += 1,
-            Payload::Get { hit, .. } => {
-                self.metrics.gets += 1;
-                if *hit {
-                    self.metrics.get_hits += 1;
-                }
-            }
-            Payload::Flush { pages, .. } | Payload::PoolDestroy { pages, .. } => {
-                self.metrics.flush_pages += pages;
-            }
-            Payload::Reclaim { pages, .. } => self.metrics.reclaimed_pages += pages,
-            Payload::VirqSample { .. } => self.metrics.virq_samples += 1,
-            Payload::RelayEnqueue { depth, .. } => {
-                self.metrics.relay_enqueued += 1;
-                self.metrics.relay_depth.record(*depth);
-            }
-            Payload::RelayShed { .. } => self.metrics.relay_shed += 1,
-            Payload::RelayPush { attempt, .. } => {
-                self.metrics.relay_pushes += 1;
-                if *attempt >= 2 {
-                    self.metrics.relay_retries += 1;
-                }
-            }
-            Payload::MmDecision { .. } => self.metrics.mm_decisions += 1,
-            Payload::Fault { .. } => self.metrics.faults_injected += 1,
-            Payload::PoolCreate { .. }
-            | Payload::TargetsApplied { .. }
-            | Payload::IntervalClose { .. }
-            | Payload::NetlinkStats { .. }
-            | Payload::MmDiscard { .. }
-            | Payload::MmCrash { .. }
-            | Payload::MmRestart
-            | Payload::DataPurge { .. }
-            | Payload::Scrub { .. }
-            | Payload::FarGet { .. }
-            | Payload::FarFlush { .. }
-            | Payload::MigrateOut { .. }
-            | Payload::MigrateIn { .. }
-            | Payload::MigrateDone { .. } => {}
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped_oldest += 1;
-        }
-        self.ring.push_back(TraceEvent {
+        let ev = TraceEvent {
             at: self.now,
             vm,
             subsystem,
             payload,
-        });
+        };
+        self.fold.apply(&ev);
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+            self.dropped_oldest += 1;
+        }
+        self.ring.push_back(ev);
     }
 }
 
@@ -789,10 +1114,12 @@ impl Tracer {
     pub fn finish(&self) -> Option<TraceData> {
         let rec = self.0.as_ref()?;
         let mut rec = rec.borrow_mut();
+        let fold = std::mem::take(&mut rec.fold);
         Some(TraceData {
             events: std::mem::take(&mut rec.ring).into_iter().collect(),
             dropped_oldest: std::mem::take(&mut rec.dropped_oldest),
-            metrics: std::mem::take(&mut rec.metrics),
+            metrics: fold.metrics(rec.cost.as_ref()),
+            fold,
         })
     }
 }
@@ -811,18 +1138,21 @@ pub struct TraceHeader {
     pub filter: Option<String>,
 }
 
-/// The extracted, thread-safe result of one recording: the event list plus
-/// aggregate metrics. This is what crosses from a worker cell back to the
-/// experiment engine.
+/// The extracted, thread-safe result of one recording: the ring's event
+/// window, the fold of every event, and the metrics read off that fold.
+/// This is what crosses from a worker cell back to the experiment engine.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceData {
-    /// Recorded events in emission order.
+    /// The last events recorded (at most the ring capacity), in emission
+    /// order. This is the window the JSONL form writes.
     pub events: Vec<TraceEvent>,
-    /// Events evicted from the ring because capacity was exceeded. A
-    /// replay verifier requires this to be 0.
+    /// Events evicted from the ring because capacity was exceeded. They
+    /// are still in `fold`.
     pub dropped_oldest: u64,
     /// Aggregated counters and histograms.
     pub metrics: TraceMetrics,
+    /// Every recorded event, folded (dropped ones included).
+    pub fold: Fold,
 }
 
 /// A trace parsed back from JSONL: header fields plus events.
@@ -1712,6 +2042,8 @@ mod tests {
         let data = tracer.finish().unwrap();
         assert_eq!(data.dropped_oldest, 3);
         assert_eq!(data.events.len(), 2);
+        assert_eq!(data.fold.events, 5, "the fold sees dropped events too");
+        assert_eq!(data.metrics.relay_shed, 5);
         assert_eq!(data.events[0].payload, Payload::RelayShed { seq: 3 });
         assert_eq!(data.events[1].payload, Payload::RelayShed { seq: 4 });
     }

@@ -73,17 +73,13 @@ pub struct Hypervisor<P> {
     /// Monotonic sample counter; stamps every `sample()` snapshot.
     sample_seq: u64,
     /// Sample seq at which the MM last proved liveness (a target push or an
-    /// explicit keepalive). Targets older than `target_ttl` samples are
-    /// stale.
+    /// explicit keepalive). Targets older than [`DEFAULT_TARGET_TTL`]
+    /// samples are stale.
     last_mm_refresh_seq: u64,
-    /// Staleness TTL in sampling intervals.
-    target_ttl: u64,
     /// Highest target-push sequence number applied (idempotence guard).
     last_target_seq: u64,
     /// Pushes ignored because their seq was stale or duplicate.
     stale_target_msgs: u64,
-    /// Target entries clamped down to node capacity on application.
-    targets_clamped: u64,
     /// Flight-recorder handle (disabled by default; one branch per op).
     tracer: Tracer,
     /// Data-plane fault layer. `None` (the default) keeps every datapath
@@ -109,10 +105,8 @@ impl<P: PagePayload> Hypervisor<P> {
             set_target_calls: 0,
             sample_seq: 0,
             last_mm_refresh_seq: 0,
-            target_ttl: DEFAULT_TARGET_TTL,
             last_target_seq: 0,
             stale_target_msgs: 0,
-            targets_clamped: 0,
             tracer: Tracer::disabled(),
             data_faults: None,
             far: None,
@@ -129,11 +123,6 @@ impl<P: PagePayload> Hypervisor<P> {
     /// Pages currently held in the far tier (0 without one).
     pub fn far_used(&self) -> u64 {
         self.far.as_ref().map_or(0, |f| f.used())
-    }
-
-    /// Far-tier capacity in pages (0 without one).
-    pub fn far_capacity(&self) -> u64 {
-        self.far.as_ref().map_or(0, |f| f.capacity())
     }
 
     /// Far-tier pages held for `vm` (0 without a tier).
@@ -945,9 +934,6 @@ impl<P: PagePayload> Hypervisor<P> {
         let capacity = self.backend.capacity();
         for t in targets {
             if let Some(data) = self.vm_data.get_mut(&t.vm_id) {
-                if t.mm_target > capacity {
-                    self.targets_clamped += 1;
-                }
                 data.mm_target = t.mm_target.min(capacity);
             }
         }
@@ -974,14 +960,14 @@ impl<P: PagePayload> Hypervisor<P> {
     }
 
     /// Whether the stored targets have outlived their TTL: the MM has not
-    /// proven liveness for more than `target_ttl` sampling intervals —
+    /// proven liveness for more than [`DEFAULT_TARGET_TTL`] sampling intervals —
     /// crashed, or its relay channel is down. While stale, Algorithm 1
     /// stops trusting targets as ceilings below the per-VM fair-share floor
     /// (`capacity / vm_count`): VMs degrade to bounded greedy competition
     /// instead of being starved by a stale (possibly zero) target, and slow
     /// reclaim stops pulling VMs below that floor.
     pub fn targets_stale(&self) -> bool {
-        self.sample_seq.saturating_sub(self.last_mm_refresh_seq) > self.target_ttl
+        self.sample_seq.saturating_sub(self.last_mm_refresh_seq) > DEFAULT_TARGET_TTL
     }
 
     /// The per-VM fallback floor while targets are stale: an equal share of
@@ -1013,17 +999,6 @@ impl<P: PagePayload> Hypervisor<P> {
     /// Pushes ignored as duplicate/stale by the idempotence guard.
     pub fn stale_target_msgs(&self) -> u64 {
         self.stale_target_msgs
-    }
-
-    /// Target entries clamped down to node capacity on application.
-    pub fn targets_clamped(&self) -> u64 {
-        self.targets_clamped
-    }
-
-    /// Override the staleness TTL (sampling intervals). Tests and chaos
-    /// profiles use this; the default is [`DEFAULT_TARGET_TTL`].
-    pub fn set_target_ttl(&mut self, ttl: u64) {
-        self.target_ttl = ttl;
     }
 
     /// Close the sampling interval and produce the sequence-stamped
@@ -1062,11 +1037,6 @@ impl<P: PagePayload> Hypervisor<P> {
     /// Pages of tmem currently used by a VM (figure recorders).
     pub fn tmem_used_by(&self, vm: VmId) -> u64 {
         self.backend.used_by(vm)
-    }
-
-    /// Registered VM configurations.
-    pub fn vm_configs(&self) -> impl Iterator<Item = &VmConfig> {
-        self.vms.values()
     }
 
     /// Read-only access to the backend (tests, invariant checks).
