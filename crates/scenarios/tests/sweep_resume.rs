@@ -9,9 +9,17 @@
 //! compare bytes. The journal-corruption tests tear records mid-write,
 //! flip payload bytes and append garbage, and check every damaged record
 //! is detected (length/digest), warned about, and simply re-run — while
-//! a journal from a *different* sweep is refused outright.
+//! a journal from a *different* sweep is refused outright. A cluster
+//! entry (a `[cluster]` scenario file or a `fleet:<hosts>x<vms>`
+//! spelling) runs on its own topology, not on one host.
 
-use scenarios::batch::{self, SweepOutcome, JOURNAL_FILE};
+use scenarios::batch::{self, fnv1a, result_digest, SweepOutcome, JOURNAL_FILE};
+use scenarios::config::RunConfig;
+use scenarios::runner::{run_cluster, run_spec, ClusterConfig};
+use scenarios::spec::build_scenario;
+use scenarios::{dsl, PolicyKind};
+use sim_core::rng::SplitMix64;
+use smartmem_core::FleetConfig;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -269,4 +277,88 @@ fn journal_from_a_different_sweep_is_refused() {
     let edited = batch::load_plan(&scratch.manifest(), 1).unwrap();
     let err = batch::run_sweep(&edited, &dir, None).unwrap_err();
     assert!(err.contains("different sweep"), "{err}");
+}
+
+const CLUSTER_FILE: &str = r#"
+version = 1
+
+[fleet]
+vms = 4
+footprint_mb = 8
+
+[cluster]
+hosts = 2
+"#;
+
+/// A sweep runs a `[cluster]` scenario file on the file's topology and a
+/// `fleet:<hosts>x<vms>` entry on the CLI's default cluster for that
+/// spelling: each journaled digest is the digest of `run_cluster` with
+/// that topology at the cell's derived seed (FNV-1a over every host's
+/// `result_digest`), never the one-host run of the same spec.
+#[test]
+fn cluster_entries_run_on_their_cluster() {
+    let scratch = Scratch::new("cluster");
+    fs::write(scratch.root.join("pair.toml"), CLUSTER_FILE).unwrap();
+    let cfg = RunConfig {
+        scale: 0.01,
+        seed: 7,
+        ..RunConfig::default()
+    };
+    let policy = PolicyKind::SmartAlloc { p: 2.0 };
+
+    let file = dsl::parse_scenario_src(CLUSTER_FILE, &cfg).unwrap();
+    let (kind, hosts) = dsl::parse_kind_cluster("fleet:2x4:8").unwrap();
+    let mut spelled = build_scenario(kind, &cfg);
+    spelled.name = dsl::cluster_scenario_name(&spelled.name, hosts);
+    let spelled_cluster = ClusterConfig {
+        hosts,
+        migration: Some(FleetConfig::default()),
+        ..ClusterConfig::default()
+    };
+    let cases = [
+        (
+            "pair.toml",
+            file.spec,
+            file.cluster.expect("[cluster] declared"),
+        ),
+        ("fleet:2x4:8", spelled, spelled_cluster),
+    ];
+
+    for (i, (entry, spec, cluster)) in cases.into_iter().enumerate() {
+        let manifest = scratch.root.join(format!("cluster-{i}.toml"));
+        fs::write(
+            &manifest,
+            format!(
+                "version = 1\n[sweep]\nname = \"cluster\"\nscenarios = [\"{entry}\"]\n\
+                 policies = [\"smart-alloc:2\"]\nseed = 7\nscale = 0.01\n"
+            ),
+        )
+        .unwrap();
+        let plan = batch::load_plan(&manifest, 1).unwrap();
+        let out = batch::run_sweep(&plan, &scratch.dir(&format!("cluster-{i}")), None).unwrap();
+        assert!(out.complete());
+        let rec = &out.records[0];
+        assert_eq!(rec.scenario, spec.name, "{entry}");
+
+        let cell_cfg = RunConfig {
+            seed: SplitMix64::new(7)
+                .derive(&plan.cell_label(plan.cells()[0]))
+                .next(),
+            ..cfg.clone()
+        };
+        let cr = run_cluster(spec.clone(), policy, &cell_cfg, &cluster);
+        assert_eq!(cr.host_results.len(), 2);
+        let hosts: String = cr
+            .host_results
+            .iter()
+            .map(|r| format!("{:016x}", result_digest(r)))
+            .collect();
+        assert_eq!(
+            rec.digest,
+            fnv1a(hosts.as_bytes()),
+            "{entry}: the journaled cell must be the run on its cluster"
+        );
+        let one_host = result_digest(&run_spec(spec, policy, &cell_cfg));
+        assert_ne!(rec.digest, one_host, "{entry}: ran on one host");
+    }
 }
