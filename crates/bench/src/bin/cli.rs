@@ -80,19 +80,19 @@
 //! summarizes it: per-VM admission/reject/evict counts, the transmitted
 //! target-vector timeline, and a fault-ledger cross-check.
 
-use scenarios::batch;
+use scenarios::batch::{self, Cell};
 use scenarios::chaos;
 use scenarios::config::RunConfig;
 use scenarios::dsl;
 use scenarios::figures;
 use scenarios::report;
-use scenarios::runner::{run_cluster, ClusterConfig, ClusterResult, RunResult};
-use scenarios::spec::{build_scenario, FleetParams, ScenarioKind, ScenarioSpec};
+use scenarios::runner::{ClusterResult, RunResult};
+use scenarios::spec::ScenarioKind;
 use sim_core::trace::{
     self, FaultKind, Fold, Payload, PushOutcome, PutResult, Subsystem, TraceConfig, TraceData,
     TraceHeader,
 };
-use smartmem_core::{FleetConfig, PolicyKind};
+use smartmem_core::PolicyKind;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use xen_sim::host::FarConfig;
@@ -214,62 +214,27 @@ fn run_config(a: &Args) -> Result<RunConfig, String> {
     Ok(cfg)
 }
 
-/// The topology a bare `fleet:<hosts>x<vms>` CLI cell runs: sharded pools
-/// on the datacenter interconnect with the fleet scheduler at its default
-/// tunables and no far tier. Files wanting presets/far/thresholds declare
-/// a `[cluster]` table instead.
-fn default_cluster(hosts: usize) -> ClusterConfig {
-    ClusterConfig {
-        hosts,
-        migration: Some(FleetConfig::default()),
-        ..ClusterConfig::default()
-    }
-}
-
-/// One (scenario × policy) cell of `run` or `trace`. Every cell runs
-/// through `run_cluster`: a Table II or `fleet:<vms>` spelling is the
-/// one-host cluster — the same run as `run_spec` — and
+/// Parse `<SCENARIO> <POLICY> [flags]` for `cmd` (`run` or `trace`) into
+/// its one cell, with `--chaos` applied to the run config. The scenario
+/// goes through [`dsl::resolve_scenario`], so a spelling means the same on
+/// the command line, in a manifest and in a `.toml` file: a Table II or
+/// `fleet:<vms>` spelling is the one-host cluster and
 /// `fleet:<hosts>x<vms>` the default multi-host topology.
-struct Cell {
-    spec: ScenarioSpec,
-    policy: PolicyKind,
-    cfg: RunConfig,
-    cluster: ClusterConfig,
-    args: Args,
-}
-
-/// Parse `<SCENARIO> <POLICY> [flags]` for `cmd` into a [`Cell`], with
-/// `--chaos` applied to the run config. Scenario and policy spellings are
-/// the DSL's (`scenarios::dsl`), so they mean the same on the command line
-/// and in a `.toml` file.
-fn parse_cell(cmd: &str, rest: &[String]) -> Result<Cell, String> {
+fn parse_cell(cmd: &str, rest: &[String]) -> Result<(Cell, Args), String> {
     let (scenario, rest) = rest
         .split_first()
         .ok_or_else(|| format!("{cmd} needs a scenario"))?;
     let (policy, rest) = rest
         .split_first()
         .ok_or_else(|| format!("{cmd} needs a policy"))?;
-    let (kind, hosts) = dsl::parse_kind_cluster(scenario)?;
     let policy = dsl::parse_policy(policy)?;
     let args = parse_flags(rest)?;
     let mut cfg = run_config(&args)?;
     if let Some(p) = &args.chaos {
         cfg.faults = p.profile.clone();
     }
-    Ok(Cell {
-        spec: cluster_spec(kind, hosts, &cfg),
-        policy,
-        cfg,
-        cluster: default_cluster(hosts),
-        args,
-    })
-}
-
-/// Build the spec of a `hosts`-host cell (renamed when `hosts > 1`).
-fn cluster_spec(kind: ScenarioKind, hosts: usize, cfg: &RunConfig) -> ScenarioSpec {
-    let mut spec = build_scenario(kind, cfg);
-    spec.name = dsl::cluster_scenario_name(&spec.name, hosts);
-    spec
+    let doc = dsl::resolve_scenario(scenario, &cfg, Path::new(""))?;
+    Ok((doc.cell(policy, cfg), args))
 }
 
 /// The paper figure `fig <n>` names.
@@ -603,21 +568,17 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
     let mut cells_json = Vec::new();
     let mut cluster_json = Vec::new();
     for (hosts, vms, is_cluster) in FLEET_TOPOLOGIES {
-        let params = FleetParams {
-            vms,
-            footprint_mb,
-            ..FleetParams::default()
-        };
-        let spec = cluster_spec(ScenarioKind::Scenario5(params), hosts, &cfg);
-        let mut cluster = default_cluster(hosts);
+        let entry = format!("fleet:{hosts}x{vms}:{footprint_mb}");
+        let mut cell =
+            dsl::resolve_scenario(&entry, &cfg, Path::new(""))?.cell(policy, cfg.clone());
         if is_cluster {
-            cluster.far = Some(FarConfig {
-                capacity_pages: (spec.tmem_pages() / hosts as u64 / 4).max(1),
+            cell.cluster.far = Some(FarConfig {
+                capacity_pages: (cell.spec.tmem_pages() / hosts as u64 / 4).max(1),
             });
         }
-        let scenario = spec.name.clone();
-        let sessions = spec.logical_sessions();
-        let m = measure(|| run_cluster(spec, policy, &cfg, &cluster));
+        let scenario = cell.spec.name.clone();
+        let sessions = cell.spec.logical_sessions();
+        let m = measure(|| cell.run());
         let cr = &m.value;
         let wall_s = m.wall.as_secs_f64();
         let rss_mib = m.peak_rss_kb.map_or(f64::NAN, |kb| kb as f64 / 1024.0);
@@ -765,8 +726,7 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
 /// the live accounting (migration events included), print the fleet
 /// report of a multi-host cell, and (with `--out FILE`) write host 0's
 /// JSONL to FILE and host N's to `FILE.hostN`.
-fn trace_cmd(mut c: Cell) -> Result<(), String> {
-    let a = &c.args;
+fn trace_cmd(mut c: Cell, a: &Args) -> Result<(), String> {
     if a.filter.is_some() && a.out.is_none() {
         return Err(
             "--filter only shapes the JSONL written by --out; add --out FILE (the \
@@ -778,7 +738,7 @@ fn trace_cmd(mut c: Cell) -> Result<(), String> {
     // record it; series recording never changes simulation outcomes.
     c.cfg.record_series = true;
     c.cfg.trace = Some(TraceConfig::default());
-    let cr = run_cluster(c.spec, c.policy, &c.cfg, &c.cluster);
+    let cr = c.run();
     let multi = cr.host_results.len() > 1;
     let head = &cr.host_results[0];
     println!(
@@ -1227,25 +1187,30 @@ fn run_file_cmd(
         None
     };
 
-    let cluster = doc.cluster.clone().unwrap_or_default();
     println!(
         "== run-file {} — {} (scale {scale}, seed {seed}, reps {reps}) ==",
         path.display(),
         doc.spec.name
     );
-    for policy in policy_list {
-        for rep in 0..reps {
+    // Policy-major, rep-minor; rep N runs at seed + N.
+    let reps_u32 = u32::try_from(reps).map_err(|_| format!("--reps {reps} is too large"))?;
+    let ids = dsl::expand_cells(1, policy_list.len(), 1, reps_u32);
+    let cells = ids
+        .iter()
+        .map(|id| {
             let mut cfg = cfg.clone();
-            cfg.seed = seed.wrapping_add(rep);
+            cfg.seed = seed.wrapping_add(u64::from(id.rep));
             if let Some(f) = &faults {
                 cfg.faults = f.clone();
             }
-            if reps > 1 {
-                println!("-- rep {} --", rep + 1);
-            }
-            let cr = run_cluster(doc.spec.clone(), policy, &cfg, &cluster);
-            print_result(&cr, doc.cluster.is_some());
+            doc.cell(policy_list[id.policy], cfg)
+        })
+        .collect();
+    for (id, cr) in ids.iter().zip(batch::run_cells(cells, a.jobs, |_, cr| cr)) {
+        if reps > 1 {
+            println!("-- rep {} --", id.rep + 1);
         }
+        print_result(&cr, doc.cluster.is_some());
     }
     Ok(())
 }
@@ -1357,7 +1322,10 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        "trace" => trace_cmd(parse_cell("trace", rest)?),
+        "trace" => {
+            let (c, a) = parse_cell("trace", rest)?;
+            trace_cmd(c, &a)
+        }
         "run-file" => {
             let (file, rest) = rest
                 .split_first()
@@ -1383,9 +1351,9 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
             _ => Err("inspect takes exactly one trace file and no flags".into()),
         },
         "run" => {
-            let c = parse_cell("run", rest)?;
-            let cr = run_cluster(c.spec, c.policy, &c.cfg, &c.cluster);
-            print_result(&cr, c.cluster.hosts > 1);
+            let (c, _) = parse_cell("run", rest)?;
+            let fleet_report = c.cluster.hosts > 1;
+            print_result(&c.run(), fleet_report);
             Ok(())
         }
         other => Err(format!("unknown command '{other}'")),
@@ -1395,7 +1363,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scenarios::spec::{Arrival, WorkloadMix};
+    use scenarios::spec::{Arrival, FleetParams, WorkloadMix};
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -1563,23 +1531,24 @@ mod tests {
 
     #[test]
     fn run_applies_the_chaos_profile() {
-        let cell = parse_cell("run", &args(&["scenario1", "greedy", "--chaos", "bitrot"])).unwrap();
+        let (cell, _) =
+            parse_cell("run", &args(&["scenario1", "greedy", "--chaos", "bitrot"])).unwrap();
         let bitrot = chaos::shipped_profiles()
             .into_iter()
             .find(|p| p.name == "bitrot")
             .unwrap();
         assert_eq!(cell.cfg.faults, bitrot.profile);
         assert_ne!(cell.cfg.faults, sim_core::faults::FaultProfile::none());
-        let plain = parse_cell("run", &args(&["scenario1", "greedy"])).unwrap();
+        let (plain, _) = parse_cell("run", &args(&["scenario1", "greedy"])).unwrap();
         assert_eq!(plain.cfg.faults, sim_core::faults::FaultProfile::none());
     }
 
     #[test]
     fn cells_carry_the_host_count_and_cluster_name() {
-        let one = parse_cell("run", &args(&["fleet:8:16", "greedy"])).unwrap();
+        let (one, _) = parse_cell("run", &args(&["fleet:8:16", "greedy"])).unwrap();
         assert_eq!(one.cluster.hosts, 1);
         assert_eq!(one.spec.name, "scenario5-8x16mb-balanced");
-        let two = parse_cell("trace", &args(&["fleet:2x8:16", "greedy"])).unwrap();
+        let (two, _) = parse_cell("trace", &args(&["fleet:2x8:16", "greedy"])).unwrap();
         assert_eq!(two.cluster.hosts, 2);
         assert_eq!(two.spec.name, "scenario5-2x8x16mb-balanced");
         assert!(parse_cell("run", &args(&["scenario1"]))

@@ -21,17 +21,23 @@
 //! are reported as warnings and their cells simply re-run — a torn
 //! checkpoint costs one cell, never the sweep. Because every cell is
 //! deterministic (seed derived from the cell label, execution through
-//! [`crate::par::run_indexed`]), the final report and CSV are
-//! byte-identical whether the sweep ran uninterrupted or was killed and
-//! resumed any number of times, at any `--jobs` count.
+//! [`run_cells`]), the final report and CSV are byte-identical whether
+//! the sweep ran uninterrupted or was killed and resumed any number of
+//! times, at any `--jobs` count.
+//!
+//! [`Cell`] and [`run_cells`] are also the one execution path of every
+//! other grid harness: the figures, the chaos suite, `run-file` and
+//! `bench-fleet` build their cells (each with its own seed rule) and run
+//! them here.
 
 use crate::config::RunConfig;
-use crate::dsl::{self, expand_cells, CellId, Manifest};
+use crate::dsl::{self, expand_cells, CellId, Manifest, ScenarioDoc};
 use crate::par::run_indexed;
-use crate::runner::{run_spec, RunResult};
-use crate::spec::{build_scenario, ScenarioSpec};
+use crate::runner::{run_cluster, ClusterConfig, ClusterResult, RunResult};
+use crate::spec::ScenarioSpec;
 use sim_core::faults::FaultProfile;
 use sim_core::rng::SplitMix64;
+use smartmem_core::PolicyKind;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -148,6 +154,57 @@ pub fn result_digest(r: &RunResult) -> u64 {
     fnv1a(s.as_bytes())
 }
 
+/// Digest one cell's [`ClusterResult`]: a one-host cell's
+/// [`result_digest`], or FNV-1a over every host's digest (16 hex digits
+/// each, host order) for a multi-host cell.
+pub fn cell_digest(c: &ClusterResult) -> u64 {
+    match c.host_results.as_slice() {
+        [one] => result_digest(one),
+        hosts => {
+            let each: String = hosts
+                .iter()
+                .map(|r| format!("{:016x}", result_digest(r)))
+                .collect();
+            fnv1a(each.as_bytes())
+        }
+    }
+}
+
+/// One grid cell, fully resolved: the scenario, the policy, the run
+/// configuration (seed, faults, series and trace already set) and the
+/// topology it runs on.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The scenario to run.
+    pub spec: ScenarioSpec,
+    /// The policy to run it under.
+    pub policy: PolicyKind,
+    /// The cell's own run configuration.
+    pub cfg: RunConfig,
+    /// Hosts, interconnect, far tier and migration (one host by default).
+    pub cluster: ClusterConfig,
+}
+
+impl Cell {
+    /// Run the cell: [`run_cluster`] on its topology.
+    pub fn run(self) -> ClusterResult {
+        run_cluster(self.spec, self.policy, &self.cfg, &self.cluster)
+    }
+}
+
+/// Run every cell over up to `jobs` worker threads — the one executor
+/// behind every grid harness. `each(index, result)` runs on the worker as
+/// each cell finishes (the sweep journals there); its outputs come back in
+/// cell order, so anything folded from them is byte-identical at any job
+/// count.
+pub fn run_cells<R, F>(cells: Vec<Cell>, jobs: usize, each: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, ClusterResult) -> R + Sync,
+{
+    run_indexed(cells, jobs, |i, cell| each(i, cell.run()))
+}
+
 /// A fully-resolved sweep: the manifest, its scenario and chaos axes
 /// loaded and validated, the per-cell run configuration, and the identity
 /// digest that pins journals to this exact input set.
@@ -155,8 +212,8 @@ pub fn result_digest(r: &RunResult) -> u64 {
 pub struct SweepPlan {
     /// The manifest as parsed.
     pub manifest: Manifest,
-    /// Resolved scenario axis: `(label, spec)`, labels unique.
-    pub scenarios: Vec<(String, ScenarioSpec)>,
+    /// Resolved scenario axis; each spec's name is its label (unique).
+    pub scenarios: Vec<ScenarioDoc>,
     /// Resolved chaos axis: `(label, profile)`, `None` = fault-free.
     pub chaos: Vec<(String, Option<FaultProfile>)>,
     /// Per-cell base configuration (manifest scale/seed; caller's jobs).
@@ -181,11 +238,25 @@ impl SweepPlan {
     pub fn cell_label(&self, cell: CellId) -> String {
         format!(
             "{}/{}/{}/rep{}",
-            self.scenarios[cell.scenario].0,
+            self.scenarios[cell.scenario].spec.name,
             self.manifest.policies[cell.policy],
             self.chaos[cell.chaos].0,
             cell.rep
         )
+    }
+
+    /// The runnable cell `id`: its scenario on that entry's topology,
+    /// seeded by `derive(seed, label)` with the chaos entry's faults.
+    pub fn cell(&self, id: CellId) -> Cell {
+        let mut cfg = self.cfg.clone();
+        cfg.seed = SplitMix64::new(self.cfg.seed)
+            .derive(&self.cell_label(id))
+            .next();
+        cfg.faults = self.chaos[id.chaos]
+            .1
+            .clone()
+            .unwrap_or_else(FaultProfile::none);
+        self.scenarios[id.scenario].cell(self.manifest.policies[id.policy], cfg)
     }
 }
 
@@ -229,28 +300,24 @@ pub fn resolve_plan(
     let mut identity = String::new();
     let _ = write!(identity, "manifest\x1f{manifest_src}");
 
-    let mut scenarios = Vec::with_capacity(manifest.scenarios.len());
+    let mut scenarios: Vec<ScenarioDoc> = Vec::with_capacity(manifest.scenarios.len());
     for entry in &manifest.scenarios {
-        let spec = if entry.ends_with(".toml") {
-            let path = dir.join(entry);
-            let src = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let doc = dsl::resolve_scenario(entry, &cfg, dir)?;
+        if entry.ends_with(".toml") {
+            let src = fs::read_to_string(dir.join(entry)).expect("read by resolve_scenario");
             let _ = write!(identity, "\x1fscenario\x1f{src}");
-            dsl::parse_scenario_src(&src, &cfg)
-                .map_err(|e| format!("{}: {e}", path.display()))?
-                .spec
         } else {
             let _ = write!(identity, "\x1fscenario\x1f{entry}");
-            build_scenario(dsl::parse_kind(entry)?, &cfg)
-        };
-        let label = spec.name.clone();
-        label_ok(&label)?;
-        if scenarios.iter().any(|(l, _)| l == &label) {
+        }
+        let label = &doc.spec.name;
+        label_ok(label)?;
+        if scenarios.iter().any(|d| &d.spec.name == label) {
             return Err(format!(
                 "two scenario axis entries resolve to the same name '{label}'; \
                  journal cells would collide"
             ));
         }
-        scenarios.push((label, spec));
+        scenarios.push(doc);
     }
 
     let mut chaos = Vec::with_capacity(manifest.chaos.len());
@@ -569,9 +636,11 @@ pub fn run_sweep(
         .collect();
     let ran = grid.len();
 
+    let cells = grid.iter().map(|&(_, id)| plan.cell(id)).collect();
     let sink = Mutex::new((file, Vec::<String>::new()));
-    let results = run_indexed(grid, plan.cfg.jobs, |_, (index, cell)| {
-        let rec = run_cell(plan, index, cell);
+    let results = run_cells(cells, plan.cfg.jobs, |i, result| {
+        let (index, id) = grid[i];
+        let rec = record(plan, index, id, &result);
         let line = frame(&encode_cell(&rec));
         let mut guard = sink.lock().expect("journal writer poisoned");
         let (f, errs) = &mut *guard;
@@ -597,33 +666,32 @@ pub fn run_sweep(
     })
 }
 
-fn run_cell(plan: &SweepPlan, index: usize, cell: CellId) -> CellRecord {
-    let (scenario_label, spec) = &plan.scenarios[cell.scenario];
-    let policy = plan.manifest.policies[cell.policy];
-    let (chaos_label, faults) = &plan.chaos[cell.chaos];
-    let label = plan.cell_label(cell);
-    let mut cfg = plan.cfg.clone();
-    cfg.seed = SplitMix64::new(plan.cfg.seed).derive(&label).next();
-    cfg.faults = faults.clone().unwrap_or_else(FaultProfile::none);
-    let r = run_spec(spec.clone(), policy, &cfg);
+/// The journal record of cell `id`. Over a multi-host cell the mm, disk
+/// and fault counters are summed across hosts, `end_ns` and `events` are
+/// the cell's (every host shares one clock and one event loop), `vm_ns`
+/// lists each host's VMs in host order, and the digest is
+/// [`cell_digest`]'s. A one-host record is exactly that host's.
+fn record(plan: &SweepPlan, index: usize, id: CellId, c: &ClusterResult) -> CellRecord {
+    let hosts = &c.host_results;
+    let sum = |f: fn(&RunResult) -> u64| hosts.iter().map(f).sum();
     CellRecord {
         index,
-        scenario: scenario_label.clone(),
-        policy: policy.to_string(),
-        chaos: chaos_label.clone(),
-        rep: cell.rep,
-        digest: result_digest(&r),
-        end_ns: r.end_time.as_nanos(),
-        events: r.events,
-        mm_cycles: r.mm_cycles,
-        mm_transmissions: r.mm_transmissions,
-        disk_reads: r.disk_reads,
-        disk_writes: r.disk_writes,
-        injected: r.faults.injected(),
-        invariant_violations: r.faults.invariant_violations,
-        vm_ns: r
-            .vm_results
+        scenario: plan.scenarios[id.scenario].spec.name.clone(),
+        policy: plan.manifest.policies[id.policy].to_string(),
+        chaos: plan.chaos[id.chaos].0.clone(),
+        rep: id.rep,
+        digest: cell_digest(c),
+        end_ns: hosts[0].end_time.as_nanos(),
+        events: hosts[0].events,
+        mm_cycles: sum(|r| r.mm_cycles),
+        mm_transmissions: sum(|r| r.mm_transmissions),
+        disk_reads: sum(|r| r.disk_reads),
+        disk_writes: sum(|r| r.disk_writes),
+        injected: sum(|r| r.faults.injected()),
+        invariant_violations: sum(|r| r.faults.invariant_violations),
+        vm_ns: hosts
             .iter()
+            .flat_map(|r| &r.vm_results)
             .map(|vm| vm.completions().iter().map(|d| d.as_nanos()).sum())
             .collect(),
     }

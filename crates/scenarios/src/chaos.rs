@@ -12,14 +12,15 @@
 //! documented degradation bound and the zero-invariant-violation rule.
 //!
 //! Everything is deterministic: the fault schedule derives from
-//! `RunConfig::seed`, cells run through [`crate::par::run_indexed`], and
+//! `RunConfig::seed`, cells run through [`crate::batch::run_cells`], and
 //! reports are byte-identical at any `--jobs` count (pinned by the
 //! determinism suite).
 
+use crate::batch::{run_cells, Cell};
 use crate::config::RunConfig;
-use crate::par::run_indexed;
-use crate::runner::{run_scenario, RunResult};
-use crate::spec::ScenarioKind;
+use crate::dsl::{self, expand_cells};
+use crate::runner::{ClusterConfig, RunResult};
+use crate::spec::{build_scenario, ScenarioKind};
 use sim_core::faults::{FaultLedger, FaultProfile};
 use smartmem_core::PolicyKind;
 
@@ -46,7 +47,17 @@ pub struct ChaosProfile {
     pub profile: FaultProfile,
 }
 
-/// The shipped chaos profiles, in report order.
+/// The shipped profile files (`scenarios/chaos/*.toml`), in report order.
+const PROFILE_FILES: [&str; 5] = [
+    include_str!("../../../scenarios/chaos/sample-loss.toml"),
+    include_str!("../../../scenarios/chaos/flaky-hypercalls.toml"),
+    include_str!("../../../scenarios/chaos/mm-crash.toml"),
+    include_str!("../../../scenarios/chaos/bitrot.toml"),
+    include_str!("../../../scenarios/chaos/backend-brownout.toml"),
+];
+
+/// The shipped chaos profiles, in report order, parsed from the files
+/// under `scenarios/chaos/` (embedded at build time).
 ///
 /// * `sample-loss` — up to 50% of an interval's stats flow lost before the
 ///   MM sees it (30% VIRQ drop + 20% netlink drop), plus light delay,
@@ -70,53 +81,10 @@ pub struct ChaosProfile {
 ///   all puts. Exercises the guest's disk fallback under a flaky/stalling
 ///   backend: the failure mode is slowdown, never corruption.
 pub fn shipped_profiles() -> Vec<ChaosProfile> {
-    vec![
-        ChaosProfile {
-            name: "sample-loss".to_string(),
-            profile: FaultProfile {
-                virq_drop: 0.30,
-                virq_delay: 0.05,
-                virq_duplicate: 0.05,
-                netlink_drop: 0.20,
-                netlink_reorder: 0.05,
-                ..FaultProfile::none()
-            },
-        },
-        ChaosProfile {
-            name: "flaky-hypercalls".to_string(),
-            profile: FaultProfile {
-                hypercall_fail: 0.25,
-                ..FaultProfile::none()
-            },
-        },
-        ChaosProfile {
-            name: "mm-crash".to_string(),
-            profile: FaultProfile {
-                mm_crash_at_cycle: Some(5),
-                mm_restart_after: 3,
-                ..FaultProfile::none()
-            },
-        },
-        ChaosProfile {
-            name: "bitrot".to_string(),
-            profile: FaultProfile {
-                page_bitflip: 0.02,
-                torn_write: 0.01,
-                ephemeral_loss: 0.05,
-                scrub_every: 5,
-                ..FaultProfile::none()
-            },
-        },
-        ChaosProfile {
-            name: "backend-brownout".to_string(),
-            profile: FaultProfile {
-                put_io_fail: 0.05,
-                brownout_every: 20,
-                brownout_for: 4,
-                ..FaultProfile::none()
-            },
-        },
-    ]
+    PROFILE_FILES
+        .iter()
+        .map(|src| dsl::parse_chaos_src(src).expect("shipped chaos profiles parse"))
+        .collect()
 }
 
 /// The policies the chaos suite sweeps: every managed policy of the paper
@@ -149,10 +117,6 @@ pub struct ChaosCell {
     pub end_s: f64,
     /// Fault + degradation accounting.
     pub ledger: FaultLedger,
-    /// Replay-verifier mismatch count for this cell — `Some` only when the
-    /// run was traced (`RunConfig::trace`). `None` leaves the rendered
-    /// report byte-identical to a build without the recorder.
-    pub replay_mismatches: Option<u64>,
 }
 
 impl ChaosCell {
@@ -202,53 +166,44 @@ pub fn run_chaos(
     profiles: &[ChaosProfile],
     bound: f64,
 ) -> ChaosReport {
-    let mut grid: Vec<(ScenarioKind, PolicyKind, Option<ChaosProfile>)> = Vec::new();
-    for &scenario in scenarios {
-        for &policy in policies {
-            grid.push((scenario, policy, None));
-            for p in profiles {
-                grid.push((scenario, policy, Some(p.clone())));
+    // The chaos axis is the baseline (index 0) followed by every profile.
+    let profile = |chaos: usize| chaos.checked_sub(1).map(|p| &profiles[p]);
+    let specs: Vec<_> = scenarios.iter().map(|&k| build_scenario(k, cfg)).collect();
+    let ids = expand_cells(specs.len(), policies.len(), profiles.len() + 1, 1);
+    let grid = ids
+        .iter()
+        .map(|id| {
+            let mut cell_cfg = cfg.clone();
+            cell_cfg.faults =
+                profile(id.chaos).map_or_else(FaultProfile::none, |p| p.profile.clone());
+            Cell {
+                spec: specs[id.scenario].clone(),
+                policy: policies[id.policy],
+                cfg: cell_cfg,
+                cluster: ClusterConfig::default(),
             }
-        }
-    }
-    let results = run_indexed(grid, cfg.jobs, |_, (scenario, policy, profile)| {
-        let mut cell_cfg = cfg.clone();
-        cell_cfg.faults = profile
-            .as_ref()
-            .map(|p| p.profile.clone())
-            .unwrap_or_else(FaultProfile::none);
-        let name = profile.map(|p| p.name);
-        let r = run_scenario(scenario, policy, &cell_cfg);
-        // With the flight recorder on, every cell replays its own trace:
-        // chaos runs are exactly where emission sites are easiest to get
-        // wrong (retries, supersedes, crashes), so verify them in place.
-        let replay = cell_cfg.trace.is_some().then(|| {
-            crate::trace_check::verify_cluster(std::slice::from_ref(&r))
-                .expect("the recorder was configured")
-                .mismatches
-                .len() as u64
-        });
-        (name, replay, r)
-    });
+        })
+        .collect();
+    let results = run_cells(grid, cfg.jobs, |_, c| c.into_single());
 
     // Fold grid-order results into cells, computing ratios against each
     // (scenario, policy)'s baseline — always the first cell of its block.
     let mut cells = Vec::with_capacity(results.len());
     let mut baseline: Vec<f64> = Vec::new();
-    for (name, replay, r) in results {
+    for (id, r) in ids.iter().zip(results) {
         let times = vm_times_s(&r);
-        let (profile, ratios) = match name {
+        let (profile, ratios) = match profile(id.chaos) {
             None => {
                 baseline = times.clone();
                 ("baseline".to_string(), vec![1.0; times.len()])
             }
-            Some(n) => {
+            Some(p) => {
                 let ratios = times
                     .iter()
                     .zip(&baseline)
                     .map(|(&t, &b)| if b > 0.0 { t / b } else { 1.0 })
                     .collect();
-                (n, ratios)
+                (p.name.clone(), ratios)
             }
         };
         cells.push(ChaosCell {
@@ -259,7 +214,6 @@ pub fn run_chaos(
             ratios,
             end_s: r.end_time.as_nanos() as f64 / 1e9,
             ledger: r.faults,
-            replay_mismatches: replay,
         });
     }
     ChaosReport { bound, cells }
@@ -283,12 +237,6 @@ impl ChaosReport {
             .sum()
     }
 
-    /// Total replay-verifier mismatches across traced cells (0 when
-    /// tracing was disabled).
-    pub fn replay_mismatches(&self) -> u64 {
-        self.cells.iter().filter_map(|c| c.replay_mismatches).sum()
-    }
-
     /// Injected page corruptions that no detection ever accounted for,
     /// across all cells (must be zero: the runner's final scrub sweeps
     /// whatever gets, flushes and reclaims did not already surface).
@@ -303,13 +251,11 @@ impl ChaosReport {
     }
 
     /// Whether every cell respects the bound, no invariant was ever
-    /// violated, every injected corruption was detected, and (when
-    /// traced) every cell's trace replayed exactly.
+    /// violated, and every injected corruption was detected.
     pub fn passed(&self) -> bool {
         self.bound_violations().is_empty()
             && self.invariant_violations() == 0
             && self.undetected_corruptions() == 0
-            && self.replay_mismatches() == 0
     }
 
     /// Render the human-readable chaos report.
@@ -382,9 +328,6 @@ impl ChaosReport {
                     l.scrub_passes,
                     l.scrub_pages_checked,
                 ));
-            }
-            if let Some(n) = c.replay_mismatches {
-                out.push_str(&format!("  replay: {n} mismatches\n"));
             }
         }
         out.push_str(&format!(

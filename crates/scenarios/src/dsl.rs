@@ -38,8 +38,9 @@
 //! A scenario file may additionally declare a `[cluster]` table — host
 //! count, interconnect preset (`datacenter`/`commodity`), optional
 //! per-host far-memory tier, and the fleet-scheduler migration knobs —
-//! which `run-file` executes through [`crate::runner::run_cluster`]. On
-//! the command line the same topology is spelled `fleet:<hosts>x<vms>`.
+//! which every harness runs through [`crate::runner::run_cluster`]. On
+//! the command line and in a manifest the default topology is spelled
+//! `fleet:<hosts>x<vms>`; [`resolve_scenario`] reads both forms.
 //!
 //! **Chaos files** name a [`FaultProfile`] field-by-field (the schema *is*
 //! [`FaultProfile::PROB_FIELDS`] plus the crash pair and the data-plane
@@ -53,6 +54,7 @@
 //! duplicate axis entries and unsatisfiable milestone references are all
 //! rejected with `line N:`-anchored messages, never panics.
 
+use crate::batch::Cell;
 use crate::chaos::{shipped_profiles, ChaosProfile};
 use crate::config::RunConfig;
 use crate::runner::ClusterConfig;
@@ -303,16 +305,30 @@ pub struct RunDirectives {
     pub chaos: Option<String>,
 }
 
-/// A parsed scenario file: the spec plus its run directives.
+/// A resolved scenario: the spec, a file's run directives and the
+/// topology it runs on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioDoc {
     /// The scenario, built against the `RunConfig` the parse was given.
     pub spec: ScenarioSpec,
     /// `[run]` table contents (all `None` when absent).
     pub run: RunDirectives,
-    /// `[cluster]` topology, when the file declares one. `None` runs the
-    /// classic single-host path.
+    /// `[cluster]` topology of a file that declares one, or the default
+    /// cluster of a `fleet:<hosts>x<vms>` spelling with `hosts > 1`.
+    /// `None` runs the classic single-host path.
     pub cluster: Option<ClusterConfig>,
+}
+
+impl ScenarioDoc {
+    /// This scenario under `policy` with `cfg`, on its topology.
+    pub fn cell(&self, policy: PolicyKind, cfg: RunConfig) -> Cell {
+        Cell {
+            spec: self.spec.clone(),
+            policy,
+            cfg,
+            cluster: self.cluster.clone().unwrap_or_default(),
+        }
+    }
 }
 
 fn check_version(reader: &mut TableReader<'_>) -> Result<(), String> {
@@ -784,6 +800,30 @@ pub fn load_scenario(path: &Path, cfg: &RunConfig) -> Result<ScenarioDoc, String
     parse_scenario_src(&src, cfg).map_err(|e| format!("{}: {e}", path.display()))
 }
 
+/// Resolve a scenario entry against `cfg`: a `.toml` scenario file
+/// (relative to `dir`, `[cluster]` table included), a built-in name, or a
+/// `fleet:[<hosts>x]<vms>…` spelling. A spelled multi-host fleet runs on
+/// the default cluster: tmem sharded over the datacenter interconnect,
+/// the fleet scheduler at its default tunables, no far tier. The one
+/// resolver behind `run`, `trace`, `run-file`, sweeps and `bench-fleet`.
+pub fn resolve_scenario(entry: &str, cfg: &RunConfig, dir: &Path) -> Result<ScenarioDoc, String> {
+    if entry.ends_with(".toml") {
+        return load_scenario(&dir.join(entry), cfg);
+    }
+    let (kind, hosts) = parse_kind_cluster(entry)?;
+    let mut spec = build_scenario(kind, cfg);
+    spec.name = cluster_scenario_name(&spec.name, hosts);
+    Ok(ScenarioDoc {
+        spec,
+        run: RunDirectives::default(),
+        cluster: (hosts > 1).then(|| ClusterConfig {
+            hosts,
+            migration: Some(FleetConfig::default()),
+            ..ClusterConfig::default()
+        }),
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Chaos-profile files.
 // ---------------------------------------------------------------------------
@@ -882,8 +922,8 @@ pub fn resolve_chaos(entry: &str, base_dir: &Path) -> Result<Option<ChaosProfile
 pub struct Manifest {
     /// Sweep name: journal identity and report header.
     pub name: String,
-    /// Scenario axis: `.toml` paths (relative to the manifest) or built-in
-    /// names ([`parse_kind`]).
+    /// Scenario axis: `.toml` paths (relative to the manifest), built-in
+    /// names or `fleet:[<hosts>x]<vms>…` spellings ([`resolve_scenario`]).
     pub scenarios: Vec<String>,
     /// Policy axis.
     pub policies: Vec<PolicyKind>,
@@ -920,7 +960,8 @@ pub fn parse_manifest_src(src: &str) -> Result<Manifest, String> {
             return Err(r.field_err("scenarios", format!("duplicate scenario '{s}'")));
         }
         if !s.ends_with(".toml") {
-            parse_kind(s).map_err(|e| r.field_err("scenarios", e))?;
+            resolve_scenario(s, &RunConfig::default(), Path::new(""))
+                .map_err(|e| r.field_err("scenarios", e))?;
         }
     }
     let policy_names = r.req_str_array("policies")?;

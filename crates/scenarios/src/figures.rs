@@ -8,15 +8,17 @@
 //! 8, 10) record per-interval tmem usage and target series for the paper's
 //! chosen policies.
 //!
-//! All (policy × rep) grids run through [`crate::par::run_indexed`] with
-//! `RunConfig::jobs` workers: each cell is an independent simulation with a
-//! per-cell derived seed, results come back in grid order, and the folding
-//! below consumes them in exactly the order the serial loops would — so
-//! output is byte-identical at any job count.
+//! All (policy × rep) grids run through [`crate::batch::run_cells`] with
+//! `RunConfig::jobs` workers: each cell is an independent simulation, bar
+//! rep `N` seeded `derive(seed, "repN")` and series panels at the root
+//! seed, results come back in grid order, and the folding below consumes
+//! them in exactly the order the serial loops would — so output is
+//! byte-identical at any job count.
 
+use crate::batch::{run_cells, Cell};
 use crate::config::RunConfig;
-use crate::par::run_indexed;
-use crate::runner::{run_scenario, RunResult, SeriesBundle, VmResult};
+use crate::dsl::expand_cells;
+use crate::runner::{ClusterConfig, SeriesBundle, VmResult};
 use crate::spec::{build_scenario, usemem_alloc_label, ProgramStep, ScenarioKind, WorkloadSpec};
 use sim_core::metrics::Summary;
 use sim_core::rng::SplitMix64;
@@ -202,16 +204,32 @@ pub fn produce(def: &FigureDef, cfg: &RunConfig, reps: u64) -> Figure {
             running_time_groups(def.scenario, &policies, cfg, reps, usemem_span_bars(cfg))
         }
         Fold::Series => {
+            let spec = build_scenario(def.scenario, cfg);
+            let vm_names = spec.vms.iter().map(|v| v.config.name.clone()).collect();
+            let series_cfg = RunConfig {
+                record_series: true,
+                ..cfg.clone()
+            };
+            let cells = policies
+                .iter()
+                .map(|&policy| Cell {
+                    spec: spec.clone(),
+                    policy,
+                    cfg: series_cfg.clone(),
+                    cluster: ClusterConfig::default(),
+                })
+                .collect();
+            let panels = run_cells(cells, cfg.jobs, |_, c| {
+                let r = c.into_single();
+                assert!(!r.truncated);
+                (r.policy, r.series.expect("series recording requested"))
+            });
             return Figure::Series(SeriesFigure {
                 id: def.id.into(),
                 title: def.title.into(),
-                panels: series_for(def.scenario, &policies, cfg),
-                vm_names: build_scenario(def.scenario, cfg)
-                    .vms
-                    .iter()
-                    .map(|v| v.config.name.clone())
-                    .collect(),
-            })
+                panels,
+                vm_names,
+            });
         }
     };
     Figure::Bars(FigureData {
@@ -219,14 +237,6 @@ pub fn produce(def: &FigureDef, cfg: &RunConfig, reps: u64) -> Figure {
         title: def.title.into(),
         groups,
     })
-}
-
-fn rep_config(cfg: &RunConfig, rep: u64) -> RunConfig {
-    let mut c = cfg.clone();
-    c.seed = SplitMix64::new(cfg.seed)
-        .derive(&format!("rep{rep}"))
-        .next();
-    c
 }
 
 /// One bar per completed run: `("VM1/run1", duration)`, ...
@@ -277,13 +287,25 @@ pub fn running_time_groups(
     assert!(reps > 0);
     // Every (policy, rep) cell runs in parallel when `cfg.jobs > 1`;
     // results come back policy-major, rep-minor — the serial loop order.
-    let grid: Vec<(PolicyKind, u64)> = policies
-        .iter()
-        .flat_map(|&policy| (0..reps).map(move |rep| (policy, rep)))
+    let spec = build_scenario(kind, cfg);
+    let reps_u32 = u32::try_from(reps).expect("repetition count fits in u32");
+    let cells = expand_cells(1, policies.len(), 1, reps_u32)
+        .into_iter()
+        .map(|id| Cell {
+            spec: spec.clone(),
+            policy: policies[id.policy],
+            cfg: RunConfig {
+                seed: SplitMix64::new(cfg.seed)
+                    .derive(&format!("rep{}", id.rep))
+                    .next(),
+                ..cfg.clone()
+            },
+            cluster: ClusterConfig::default(),
+        })
         .collect();
-    let results = run_indexed(grid, cfg.jobs, |_, (policy, rep)| {
-        let r = run_scenario(kind, policy, &rep_config(cfg, rep));
-        assert!(!r.truncated, "{kind:?}/{policy} hit the safety cutoff");
+    let results = run_cells(cells, cfg.jobs, |_, c| {
+        let r = c.into_single();
+        assert!(!r.truncated, "{kind:?}/{} hit the safety cutoff", r.policy);
         r
     });
     policies
@@ -319,23 +341,6 @@ pub fn running_time_groups(
             }
         })
         .collect()
-}
-
-fn series_for(
-    kind: ScenarioKind,
-    policies: &[PolicyKind],
-    cfg: &RunConfig,
-) -> Vec<(String, SeriesBundle)> {
-    let mut c = cfg.clone();
-    c.record_series = true;
-    run_indexed(policies.to_vec(), cfg.jobs, |_, policy| {
-        let r: RunResult = run_scenario(kind, policy, &c);
-        assert!(!r.truncated);
-        (
-            policy.to_string(),
-            r.series.expect("series recording requested"),
-        )
-    })
 }
 
 /// Table II as structured rows (scenario, VM parameters, program).

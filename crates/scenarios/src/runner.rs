@@ -200,8 +200,7 @@ pub struct RunResult {
 /// Cluster topology for [`run_cluster`]: how many hosts, the interconnect,
 /// and the optional far tier / fleet scheduler. The default is a plain
 /// single host — exactly what [`run_spec`] uses.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-#[serde(default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of independent hosts; node tmem capacity is sharded across
     /// them (earlier hosts take the remainder pages).
@@ -227,7 +226,7 @@ impl Default for ClusterConfig {
 }
 
 /// Fleet-wide accounting of one cluster run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetMetrics {
     /// Hosts in the cluster.
     pub hosts: usize,
@@ -270,6 +269,14 @@ pub struct ClusterResult {
     pub host_results: Vec<RunResult>,
     /// Fleet-wide accounting.
     pub fleet: FleetMetrics,
+}
+
+impl ClusterResult {
+    /// The result of a one-host run.
+    pub fn into_single(mut self) -> RunResult {
+        assert_eq!(self.host_results.len(), 1, "a one-host run");
+        self.host_results.pop().expect("one host")
+    }
 }
 
 struct VmRuntime {
@@ -380,8 +387,7 @@ pub fn run_scenario(kind: ScenarioKind, policy: PolicyKind, cfg: &RunConfig) -> 
 /// This *is* the one-host cluster path: the single-host byte-goldens pin
 /// the cluster refactor in place.
 pub fn run_spec(spec: crate::spec::ScenarioSpec, policy: PolicyKind, cfg: &RunConfig) -> RunResult {
-    let mut r = run_cluster(spec, policy, cfg, &ClusterConfig::default());
-    r.host_results.pop().expect("one host")
+    run_cluster(spec, policy, cfg, &ClusterConfig::default()).into_single()
 }
 
 /// Run a scenario spec across a cluster of hosts. Node tmem capacity is
