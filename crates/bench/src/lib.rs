@@ -1,10 +1,9 @@
 //! Shared plumbing for the benchmark harnesses.
 //!
 //! The paper's tables and figures come from `smartmem-cli` (`table2`,
-//! `fig`, `all`); the `cargo bench` targets are the ablations around them
-//! plus the tmem `micro`/`datapath` benchmarks. Scale and repetitions are
-//! tunable through environment variables so CI can run quick passes and a
-//! workstation can run paper-sized ones:
+//! `fig`, `all`); the `cargo bench` targets are the ablations around them.
+//! Scale and repetitions are tunable through environment variables so CI
+//! can run quick passes and a workstation can run paper-sized ones:
 //!
 //! * `SMARTMEM_BENCH_SCALE` — memory scale (default 0.125),
 //! * `SMARTMEM_BENCH_REPS` — repetitions per configuration (default 2;

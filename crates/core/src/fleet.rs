@@ -27,11 +27,10 @@
 //! Ties (equal pressure, equal size) break toward the lower host index and
 //! the lower [`VmId`], in that order.
 
-use serde::{Deserialize, Serialize};
 use tmem::key::VmId;
 
 /// Tunables of the fleet scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
     /// Minimum pressure spread between hottest and coolest host before a
     /// migration is considered. Pressure is a ratio of capacity, so 0.25

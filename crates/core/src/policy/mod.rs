@@ -6,7 +6,6 @@ pub mod reconf_static;
 pub mod smart_alloc;
 pub mod static_alloc;
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tmem::stats::{MemStats, MmTarget};
 
@@ -40,7 +39,7 @@ pub trait Policy {
 /// Value-level policy selector used by scenario runners, benches and the
 /// CLI. `NoTmem` is the guest-side baseline (frontswap disabled — no policy
 /// runs at all).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyKind {
     /// tmem disabled in the guests; all swap goes to disk.
     NoTmem,

@@ -17,13 +17,12 @@
 //! from noise.
 
 use super::Policy;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tmem::key::VmId;
 use tmem::stats::{MemStats, MmTarget};
 
 /// Tuning for [`Predictive`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictiveConfig {
     /// Pages of headroom granted per smoothed failed put.
     pub headroom_per_failure: f64,

@@ -20,11 +20,10 @@
 //! that prevents grow/shrink oscillation, and the ablation bench sweeps it.
 
 use super::Policy;
-use serde::{Deserialize, Serialize};
 use tmem::stats::{MemStats, MmTarget};
 
 /// Tuning for [`SmartAlloc`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmartAllocConfig {
     /// The increment/decrement percentage `P` (0 < P ≤ 100). The paper
     /// sweeps 0.25–6 %.

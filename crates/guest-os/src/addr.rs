@@ -1,12 +1,11 @@
 //! Guest virtual addresses at page granularity.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 
 /// A guest virtual page number. The guest model works entirely at page
 /// granularity: byte offsets exist only inside [`crate::paged::PagedVec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtPage(pub u64);
 
 impl VirtPage {

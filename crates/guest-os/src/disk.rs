@@ -12,14 +12,13 @@
 //!   when the backlog exceeds a threshold, mirroring kswapd's asynchronous
 //!   write-back with congestion control.
 
-use serde::{Deserialize, Serialize};
 use sim_core::cost::CostModel;
 use sim_core::time::{SimDuration, SimTime};
 
 /// Write-back tuning: how many swap-out pages share one positioning cost
 /// (Linux's swap cluster) and how much backlog accrues before the guest is
 /// throttled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WritebackConfig {
     /// Pages per clustered swap write (Linux default SWAPFILE_CLUSTER-ish).
     pub cluster_pages: u64,

@@ -26,7 +26,6 @@
 
 use crate::addr::VirtPage;
 use crate::machine::Machine;
-use serde::{Deserialize, Serialize};
 use tmem::error::ReturnCode;
 use tmem::key::{ObjectId, PageIndex, PoolId, VmId};
 use tmem::page::Fingerprint;
@@ -80,7 +79,7 @@ struct Frame {
 }
 
 /// Static configuration of one guest kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuestConfig {
     /// The VM this kernel runs in.
     pub vm: VmId,
@@ -108,7 +107,7 @@ impl GuestConfig {
 }
 
 /// Per-kernel event counters (complementing the hypervisor's Table I view).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// First-touch (zero-fill) faults.
     pub minor_faults: u64,

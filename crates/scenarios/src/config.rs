@@ -1,13 +1,12 @@
 //! Run configuration.
 
-use serde::{Deserialize, Serialize};
 use sim_core::cost::CostModel;
 use sim_core::faults::FaultProfile;
 use sim_core::time::SimDuration;
 use sim_core::trace::TraceConfig;
 
 /// Knobs for one scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// Memory scale relative to the paper's sizes (1.0 = 1 GB VMs etc.).
     /// Benches default to 0.125 to bound wall-clock time; tests go smaller.

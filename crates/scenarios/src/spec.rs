@@ -12,7 +12,6 @@
 //! logical sessions (ROADMAP item 1).
 
 use crate::config::RunConfig;
-use serde::{Deserialize, Serialize};
 use sim_core::time::SimDuration;
 use tmem::key::VmId;
 use workloads::fileserver::FileServerConfig;
@@ -23,7 +22,7 @@ use workloads::usemem::UsememConfig;
 use xen_sim::vm::VmConfig;
 
 /// The four scenarios of Table II, plus the fleet family (Scenario 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScenarioKind {
     /// 3 × 1 GB VMs; in-memory-analytics twice with a 5 s sleep; 1 GB tmem.
     Scenario1,
@@ -43,7 +42,7 @@ pub enum ScenarioKind {
 }
 
 /// Which workloads a fleet's VMs run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadMix {
     /// Round-robin `inmem` / `fileserver` / `usemem` by VM index.
     Balanced,
@@ -69,7 +68,7 @@ impl WorkloadMix {
 }
 
 /// When a fleet's VMs come online.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arrival {
     /// All VMs start at t = 0.
     Simultaneous,
@@ -85,7 +84,7 @@ pub enum Arrival {
 /// Unlike the Table II scenarios, fleet cells are *not* resized by
 /// [`RunConfig::scale`] — `vms` and `footprint_mb` already say exactly how
 /// big the cell is. Time scaling (`RunConfig::time_scale`) still applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetParams {
     /// Number of VMs to deploy (8–128 is the designed range).
     pub vms: u32,

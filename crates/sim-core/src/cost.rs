@@ -13,10 +13,9 @@
 //! sensitivity benches can sweep them (see `bench/benches/ablation_disk.rs`).
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Latency parameters for every simulated memory-system operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Cost of the guest touching one *resident* page (amortized compute on
     /// the page plus TLB/cache effects).

@@ -18,13 +18,12 @@
 
 use crate::rng::SplitMix64;
 use crate::trace::{FaultKind, Payload, Subsystem, Tracer};
-use serde::{Deserialize, Serialize};
 
 /// Probabilities and schedules for control-plane faults.
 ///
 /// All probabilities are per-message and must lie in `[0, 1]`. The default
 /// profile is fully disabled (all zero, no crash scheduled).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultProfile {
     /// Probability a VIRQ statistics sample is dropped before reaching dom0.
     pub virq_drop: f64,
@@ -323,7 +322,7 @@ pub enum NetlinkFate {
 /// *observed* counts the control-plane components report back (retries,
 /// restarts, stale intervals, invariant checks) so chaos reports can show
 /// the whole episode in one place.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultLedger {
     /// VIRQ samples delivered normally.
     pub samples_delivered: u64,

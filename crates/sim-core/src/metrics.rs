@@ -7,10 +7,9 @@
 //! saturating event counter used throughout the hypervisor and guest.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -41,7 +40,7 @@ impl Counter {
 
 /// A sampled time-series: `(instant, value)` pairs in non-decreasing time
 /// order. Backing storage for the occupancy figures.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
@@ -119,7 +118,7 @@ impl TimeSeries {
 /// Online mean / standard deviation accumulator (Welford), used to summarize
 /// the five repetitions of every scenario run exactly as the paper's bar
 /// charts do.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Summary {
     n: u64,
     mean: f64,
@@ -212,7 +211,7 @@ impl Summary {
 /// associative — bucket counts are plain sums — which is what lets
 /// per-cell trace metrics be folded across an experiment grid without any
 /// loss.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,

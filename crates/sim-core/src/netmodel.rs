@@ -11,10 +11,9 @@
 //! existing goldens.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Latency/bandwidth parameters of one cluster link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetModel {
     /// Fixed cost of one transfer: connection setup, protocol handshake,
     /// propagation. Charged once per transfer regardless of size.

@@ -32,7 +32,6 @@ use crate::cost::CostModel;
 use crate::faults::{FaultLedger, NetlinkFate, SampleFate};
 use crate::metrics::Histogram;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
@@ -50,7 +49,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 /// Switch + sizing for the flight recorder, carried inside the run
 /// configuration. Absent (`None` at the config level) means tracing is
 /// fully disabled.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Ring-buffer capacity in events; the oldest event is dropped (and
     /// counted) once the ring is full.
@@ -1459,7 +1458,7 @@ fn write_event(out: &mut String, ev: &TraceEvent) {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL parsing (hand-rolled: the vendored serde is a no-op stub)
+// JSONL parsing (hand-rolled: the build has no JSON crate)
 // ---------------------------------------------------------------------------
 
 /// Minimal JSON value for the flat objects the trace format uses.

@@ -1,12 +1,11 @@
 //! Error and return codes for tmem operations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Hypercall-level return code, mirroring Table I's `S_TMEM` / `E_TMEM`
 /// values: "Value used in the hypervisor indicating that a put (or other
 /// tmem op.) has succeeded / cannot succeed."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReturnCode {
     /// The operation succeeded (`S_TMEM`).
     Success,

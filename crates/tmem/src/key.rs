@@ -4,12 +4,11 @@
 //! tuple (its key), consisting of the pool identifier, a 64-bit object
 //! identifier and a 32-bit offset or page identifier."
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A virtual machine identifier, as assigned by the hypervisor
 /// (`vm_data_hyp[id].vm_id` in Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub u32);
 
 impl fmt::Display for VmId {
@@ -20,7 +19,7 @@ impl fmt::Display for VmId {
 
 /// A tmem pool identifier. Pools are created per guest kernel module
 /// initialization and owned by exactly one VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PoolId(pub u32);
 
 impl fmt::Display for PoolId {
@@ -31,7 +30,7 @@ impl fmt::Display for PoolId {
 
 /// The 64-bit object identifier, extracted by the guest kernel from the
 /// address of the page (frontswap: swap type; cleancache: inode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u64);
 
 /// The 32-bit page index within an object (frontswap: swap offset;
@@ -39,7 +38,7 @@ pub struct ObjectId(pub u64);
 pub type PageIndex = u32;
 
 /// The full three-element tmem key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TmemKey {
     /// Pool the page belongs to (implies the owning VM).
     pub pool: PoolId,

@@ -13,7 +13,6 @@
 //!   the fingerprint of every page it gets back).
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
 
 /// Size of one page, in bytes. x86 base pages, as in the paper's testbed.
@@ -190,7 +189,7 @@ impl<P> PageArena<P> {
 /// identity and a per-page version counter, so stale data (a page returned
 /// from tmem after the guest overwrote and re-put it) is detected exactly
 /// like corruption would be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Fingerprint(pub u64);
 
 impl Fingerprint {

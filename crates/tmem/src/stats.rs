@@ -9,13 +9,12 @@
 //! second.
 
 use crate::key::VmId;
-use serde::{Deserialize, Serialize};
 use sim_core::metrics::Counter;
 use sim_core::time::SimTime;
 
 /// Per-VM state kept by the hypervisor (`vm_data_hyp[id]` in Table I), plus
 /// the cumulative counters the policies and figures need.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VmDataHyp {
     /// Identifier of the VM within Xen.
     pub vm_id: VmId,
@@ -91,7 +90,7 @@ impl VmDataHyp {
 }
 
 /// Node-level state (`node_info` in Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeInfo {
     /// Total pages available for tmem on the node.
     pub total_tmem: u64,
@@ -102,7 +101,7 @@ pub struct NodeInfo {
 }
 
 /// One VM's slice of a [`MemStats`] snapshot (`memstats.vm[i]` in Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VmStat {
     /// Identifier of the VM within the MM.
     pub vm_id: VmId,
@@ -134,7 +133,7 @@ impl VmStat {
 
 /// The statistics snapshot the hypervisor ships to the MM every sampling
 /// interval (`memstats` in Table I).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemStats {
     /// Snapshot instant.
     pub at: SimTime,
@@ -159,7 +158,7 @@ impl MemStats {
 /// duplicate messages (fault injection); the sequence number lets the MM
 /// detect gaps, discard duplicates idempotently and ignore stale reordered
 /// snapshots — see `StatsHistory::observe` in the core crate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsMsg {
     /// Monotonic sample sequence number (1-based; assigned by the
     /// hypervisor at `sample()` time).
@@ -173,7 +172,7 @@ pub struct StatsMsg {
 /// The MM numbers its pushes so the hypervisor can apply them idempotently:
 /// a duplicate or reordered push with `seq` at or below the last applied one
 /// is ignored rather than overwriting newer targets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetMsg {
     /// Monotonic push sequence number (1-based; assigned by the MM).
     pub seq: u64,
@@ -183,7 +182,7 @@ pub struct TargetMsg {
 
 /// One entry of the MM's reply (`mm_out[i]` in Table I): a VM and its new
 /// target allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MmTarget {
     /// VM identifier that maps a VM to its target allocation.
     pub vm_id: VmId,

@@ -16,14 +16,13 @@ use crate::traits::{Milestone, StepOutcome, Workload};
 use guest_os::cleancache::FileCache;
 use guest_os::kernel::GuestKernel;
 use guest_os::machine::Machine;
-use serde::{Deserialize, Serialize};
 use sim_core::rng::SplitMix64;
 use sim_core::time::SimDuration;
 use tmem::backend::PoolKind;
 use tmem::key::PoolId;
 
 /// Configuration for [`FileServer`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FileServerConfig {
     /// Number of files in the corpus.
     pub n_files: u64,

@@ -21,7 +21,6 @@ use crate::traits::{Milestone, StepOutcome, Workload};
 use guest_os::kernel::GuestKernel;
 use guest_os::machine::Machine;
 use guest_os::paged::PagedVec;
-use serde::{Deserialize, Serialize};
 use sim_core::rng::SplitMix64;
 use sim_core::time::SimDuration;
 
@@ -29,7 +28,7 @@ use sim_core::time::SimDuration;
 pub const PARTITION_EDGE_BYTES: u64 = 2 << 20;
 
 /// Configuration for [`GraphAnalytics`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphAnalyticsConfig {
     /// Vertex count.
     pub n_nodes: u32,

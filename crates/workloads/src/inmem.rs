@@ -24,7 +24,6 @@ use crate::traits::{Milestone, StepOutcome, Workload};
 use guest_os::kernel::GuestKernel;
 use guest_os::machine::Machine;
 use guest_os::paged::PagedVec;
-use serde::{Deserialize, Serialize};
 use sim_core::rng::SplitMix64;
 use sim_core::time::SimDuration;
 
@@ -59,7 +58,7 @@ fn small_random(rng: &mut SplitMix64) -> FactorRow {
 }
 
 /// Configuration for [`InMemoryAnalytics`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InMemoryAnalyticsConfig {
     /// Number of users.
     pub n_users: u32,

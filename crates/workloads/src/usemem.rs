@@ -20,12 +20,11 @@ use crate::traits::{Milestone, StepOutcome, Workload};
 use guest_os::kernel::GuestKernel;
 use guest_os::machine::Machine;
 use guest_os::paged::PagedVec;
-use serde::{Deserialize, Serialize};
 use sim_core::time::SimDuration;
 use tmem::page::PAGE_SIZE;
 
 /// Sizing of the usemem progression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UsememConfig {
     /// First block size in bytes (paper: 128 MB).
     pub start_bytes: u64,

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use tmem::key::{ObjectId, PageIndex, PoolId, VmId};
 
 /// Configuration of one host's far-memory tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FarConfig {
     /// Capacity in pages. Zero disables spilling (the tier exists but never
     /// admits a page).

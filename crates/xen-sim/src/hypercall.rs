@@ -5,13 +5,12 @@
 //! [`crate::Hypervisor`], but the *kinds* are materialized as types so that
 //! the cost model can price them and tests can assert on issued traffic.
 
-use serde::{Deserialize, Serialize};
 use tmem::key::{ObjectId, PageIndex, PoolId};
 
 /// The tmem operation kinds of the guest-facing interface, plus the two
 /// custom SmarTmem control operations (§III-C: "a series of custom-made
 /// hypercalls were also developed").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HypercallKind {
     /// `tmem_put`: copy one page from guest memory into tmem.
     Put,
@@ -41,7 +40,7 @@ impl HypercallKind {
 }
 
 /// A fully-addressed tmem data operation (used in traces and tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TmemOp {
     /// Operation kind (only the data-path kinds appear in traces).
     pub kind: HypercallKind,

@@ -8,10 +8,8 @@
 //! quantum (I/O wait time is never dilated — a vCPU blocked on the disk
 //! holds no core).
 
-use serde::{Deserialize, Serialize};
-
 /// Proportional-share CPU dilation model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuModel {
     /// Physical cores available to guest vCPUs.
     pub cores: u32,

@@ -7,13 +7,12 @@
 //! interrupt; the scenario event loop asks it when the next interrupt is due
 //! and calls [`crate::Hypervisor::sample`] at that instant.
 
-use serde::{Deserialize, Serialize};
 use sim_core::faults::SampleFate;
 use sim_core::time::{SimDuration, SimTime};
 use tmem::stats::StatsMsg;
 
 /// Recurring sampling-interrupt schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingVirq {
     period: SimDuration,
     next_due: SimTime,

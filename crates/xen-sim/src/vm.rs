@@ -1,11 +1,10 @@
 //! Virtual machine descriptors.
 
-use serde::{Deserialize, Serialize};
 use tmem::key::VmId;
 
 /// Static configuration of one VM, as a scenario creates it (Table II's "VM
 /// Parameters" column).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VmConfig {
     /// Hypervisor-assigned identity.
     pub id: VmId,
