@@ -10,7 +10,7 @@
 //! smartmem-cli bench-fleet [--scale S] [--seed S] [--out DIR] [--jobs N]
 //! smartmem-cli trace <SCENARIO> <policy> [--scale S] [--seed S] [--chaos PROFILE] [--out trace.jsonl] [--filter subsys=a,b]
 //! smartmem-cli inspect <trace.jsonl>
-//! smartmem-cli run-file <scenario.toml> [POLICY ...] [--scale S] [--seed S] [--reps N] [--chaos P]
+//! smartmem-cli run-file <scenario.toml> [POLICY ...] [--scale S] [--seed S] [--reps N] [--chaos P] [--jobs N]
 //! smartmem-cli sweep <manifest.toml> [--resume DIR] [--jobs N] [--stop-after N]
 //! ```
 //!
@@ -26,7 +26,9 @@
 //! multi-host cluster — tmem sharded across the hosts, the fleet
 //! scheduler migrating VMs at its default tunables — and `run`/`trace`
 //! print the fleet report. Every `run`/`trace` cell goes through
-//! `run_cluster`; any other spelling is the one-host cluster. `trace`
+//! `run_cluster`; any other spelling is the one-host cluster. `SCENARIO`
+//! may also be a scenario `.toml` file; all spellings go through
+//! [`scenarios::dsl::resolve_scenario`], as sweep manifests do. `trace`
 //! replay-verifies every host's stream (migration events included) and
 //! `--out FILE` writes host 0 to FILE and host N to `FILE.hostN`. Scenario
 //! files can declare richer topologies (interconnect preset, far tier,
@@ -64,7 +66,8 @@
 //! `run-file` runs a declarative scenario file (see `scenarios/*.toml` and
 //! EXPERIMENTS.md) under one or more policies; the file's `[run]` table
 //! supplies defaults for any flag or policy list not given on the command
-//! line. `sweep` expands a manifest's `scenarios × policies × chaos × reps`
+//! line; its policy × rep cells fan out over `--jobs` like every other
+//! grid. `sweep` expands a manifest's `scenarios × policies × chaos × reps`
 //! matrix and runs it with per-cell checkpointing: every finished cell is
 //! journaled, so a killed sweep rerun with the same `--resume DIR` picks up
 //! where it stopped and produces byte-identical outputs. `--stop-after N`
@@ -88,6 +91,7 @@ use scenarios::figures;
 use scenarios::report;
 use scenarios::runner::{ClusterResult, RunResult};
 use scenarios::spec::ScenarioKind;
+use sim_core::faults::FaultProfile;
 use sim_core::trace::{
     self, FaultKind, Fold, Payload, PushOutcome, PutResult, Subsystem, TraceConfig, TraceData,
     TraceHeader,
@@ -1139,30 +1143,30 @@ fn run_file_cmd(
     flags: &[String],
     a: &Args,
 ) -> Result<(), String> {
-    let flag_given = |f: &str| flags.iter().any(|s| s == f);
+    // A `[run]` directive applies unless the command line gives its flag.
+    fn pick<T>(flags: &[String], flag: &str, cli: T, file: Option<T>) -> T {
+        match file {
+            Some(v) if !flags.iter().any(|s| s == flag) => v,
+            _ => cli,
+        }
+    }
     // Parse once at the CLI config just to read the [run] directives, then
     // re-parse at the effective scale (the spec's sizes depend on it).
-    let probe = dsl::load_scenario(path, &run_config(a)?)?;
-    let run = probe.run;
-    let scale = if flag_given("--scale") {
-        a.scale
-    } else {
-        run.scale.unwrap_or(a.scale)
-    };
-    let seed = if flag_given("--seed") {
-        a.seed
-    } else {
-        run.seed.unwrap_or(a.seed)
-    };
-    let reps = if flag_given("--reps") {
-        a.reps
-    } else {
-        u64::from(run.reps.unwrap_or(1))
+    let run = dsl::load_scenario(path, &run_config(a)?)?.run;
+    let scale = pick(flags, "--scale", a.scale, run.scale);
+    let seed = pick(flags, "--seed", a.seed, run.seed);
+    let reps = pick(flags, "--reps", a.reps, Some(run.reps.map_or(1, u64::from)));
+    let dir = path.parent().unwrap_or_else(|| Path::new("."));
+    let faults = match (&a.chaos, &run.chaos) {
+        (Some(p), _) => Some(p.clone()),
+        (None, Some(entry)) => dsl::resolve_chaos(entry, dir)?,
+        (None, None) => None,
     };
     let cfg = RunConfig {
         scale,
         seed,
         jobs: a.jobs,
+        faults: faults.map_or_else(FaultProfile::none, |p| p.profile),
         ..RunConfig::default()
     };
     cfg.validate()?;
@@ -1178,15 +1182,6 @@ fn run_file_cmd(
             .collect::<Result<_, _>>()?
     };
 
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let faults = if a.chaos.is_some() {
-        a.chaos.as_ref().map(|p| p.profile.clone())
-    } else if let Some(entry) = &run.chaos {
-        dsl::resolve_chaos(entry, dir)?.map(|p| p.profile)
-    } else {
-        None
-    };
-
     println!(
         "== run-file {} — {} (scale {scale}, seed {seed}, reps {reps}) ==",
         path.display(),
@@ -1198,12 +1193,14 @@ fn run_file_cmd(
     let cells = ids
         .iter()
         .map(|id| {
-            let mut cfg = cfg.clone();
-            cfg.seed = seed.wrapping_add(u64::from(id.rep));
-            if let Some(f) = &faults {
-                cfg.faults = f.clone();
-            }
-            doc.cell(policy_list[id.policy], cfg)
+            let seed = seed.wrapping_add(u64::from(id.rep));
+            doc.cell(
+                policy_list[id.policy],
+                RunConfig {
+                    seed,
+                    ..cfg.clone()
+                },
+            )
         })
         .collect();
     for (id, cr) in ids.iter().zip(batch::run_cells(cells, a.jobs, |_, cr| cr)) {

@@ -214,8 +214,8 @@ pub struct SweepPlan {
     pub manifest: Manifest,
     /// Resolved scenario axis; each spec's name is its label (unique).
     pub scenarios: Vec<ScenarioDoc>,
-    /// Resolved chaos axis: `(label, profile)`, `None` = fault-free.
-    pub chaos: Vec<(String, Option<FaultProfile>)>,
+    /// Resolved chaos axis: `(label, profile)`; `baseline` is fault-free.
+    pub chaos: Vec<(String, FaultProfile)>,
     /// Per-cell base configuration (manifest scale/seed; caller's jobs).
     pub cfg: RunConfig,
     /// FNV-1a digest over the manifest source and every referenced file.
@@ -248,14 +248,13 @@ impl SweepPlan {
     /// The runnable cell `id`: its scenario on that entry's topology,
     /// seeded by `derive(seed, label)` with the chaos entry's faults.
     pub fn cell(&self, id: CellId) -> Cell {
-        let mut cfg = self.cfg.clone();
-        cfg.seed = SplitMix64::new(self.cfg.seed)
-            .derive(&self.cell_label(id))
-            .next();
-        cfg.faults = self.chaos[id.chaos]
-            .1
-            .clone()
-            .unwrap_or_else(FaultProfile::none);
+        let cfg = RunConfig {
+            seed: SplitMix64::new(self.cfg.seed)
+                .derive(&self.cell_label(id))
+                .next(),
+            faults: self.chaos[id.chaos].1.clone(),
+            ..self.cfg.clone()
+        };
         self.scenarios[id.scenario].cell(self.manifest.policies[id.policy], cfg)
     }
 }
@@ -269,26 +268,24 @@ fn label_ok(label: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Load a manifest from `path` and resolve every axis. `jobs` is the
-/// parallelism the sweep will run with (execution-only: it never affects
-/// results).
+/// Load a manifest from `path` and resolve every axis against its
+/// directory. `jobs` is the parallelism the sweep will run with
+/// (execution-only: it never affects results). The identity digest covers
+/// the manifest plus the bytes of every referenced file, so editing any
+/// input invalidates old journals instead of silently mixing results.
 pub fn load_plan(path: &Path, jobs: usize) -> Result<SweepPlan, String> {
-    let src = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let manifest = dsl::parse_manifest_src(&src).map_err(|e| format!("{}: {e}", path.display()))?;
+    let manifest_src = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let manifest =
+        dsl::parse_manifest_src(&manifest_src).map_err(|e| format!("{}: {e}", path.display()))?;
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    resolve_plan(manifest, &src, dir, jobs)
-}
-
-/// Resolve a parsed manifest against `dir` (the directory scenario/chaos
-/// paths are relative to). The identity digest covers `manifest_src` plus
-/// the bytes of every referenced file, so editing any input invalidates
-/// old journals instead of silently mixing results.
-pub fn resolve_plan(
-    manifest: Manifest,
-    manifest_src: &str,
-    dir: &Path,
-    jobs: usize,
-) -> Result<SweepPlan, String> {
+    // A file entry's identity is its bytes (already read by its resolver).
+    let input = |entry: &String| {
+        if entry.ends_with(".toml") {
+            fs::read_to_string(dir.join(entry)).expect("read by the resolver")
+        } else {
+            entry.clone()
+        }
+    };
     let cfg = RunConfig {
         scale: manifest.scale,
         seed: manifest.seed,
@@ -303,12 +300,7 @@ pub fn resolve_plan(
     let mut scenarios: Vec<ScenarioDoc> = Vec::with_capacity(manifest.scenarios.len());
     for entry in &manifest.scenarios {
         let doc = dsl::resolve_scenario(entry, &cfg, dir)?;
-        if entry.ends_with(".toml") {
-            let src = fs::read_to_string(dir.join(entry)).expect("read by resolve_scenario");
-            let _ = write!(identity, "\x1fscenario\x1f{src}");
-        } else {
-            let _ = write!(identity, "\x1fscenario\x1f{entry}");
-        }
+        let _ = write!(identity, "\x1fscenario\x1f{}", input(entry));
         let label = &doc.spec.name;
         label_ok(label)?;
         if scenarios.iter().any(|d| &d.spec.name == label) {
@@ -322,24 +314,18 @@ pub fn resolve_plan(
 
     let mut chaos = Vec::with_capacity(manifest.chaos.len());
     for entry in &manifest.chaos {
-        let resolved = dsl::resolve_chaos(entry, dir)?;
-        let label = match &resolved {
-            None => "baseline".to_string(),
-            Some(p) => p.name.clone(),
+        let (label, profile) = match dsl::resolve_chaos(entry, dir)? {
+            None => ("baseline".to_string(), FaultProfile::none()),
+            Some(p) => (p.name, p.profile),
         };
         label_ok(&label)?;
-        if entry.ends_with(".toml") {
-            let src = fs::read_to_string(dir.join(entry)).expect("read by resolve_chaos");
-            let _ = write!(identity, "\x1fchaos\x1f{src}");
-        } else {
-            let _ = write!(identity, "\x1fchaos\x1f{entry}");
-        }
+        let _ = write!(identity, "\x1fchaos\x1f{}", input(entry));
         if chaos.iter().any(|(l, _)| l == &label) {
             return Err(format!(
                 "two chaos axis entries resolve to the same name '{label}'"
             ));
         }
-        chaos.push((label, resolved.map(|p| p.profile)));
+        chaos.push((label, profile));
     }
 
     Ok(SweepPlan {

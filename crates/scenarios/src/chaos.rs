@@ -47,7 +47,8 @@ pub struct ChaosProfile {
     pub profile: FaultProfile,
 }
 
-/// The shipped profile files (`scenarios/chaos/*.toml`), in report order.
+/// The shipped profile files, in report order. Each file's comment says
+/// what it injects and which recovery path it exercises.
 const PROFILE_FILES: [&str; 5] = [
     include_str!("../../../scenarios/chaos/sample-loss.toml"),
     include_str!("../../../scenarios/chaos/flaky-hypercalls.toml"),
@@ -56,30 +57,10 @@ const PROFILE_FILES: [&str; 5] = [
     include_str!("../../../scenarios/chaos/backend-brownout.toml"),
 ];
 
-/// The shipped chaos profiles, in report order, parsed from the files
-/// under `scenarios/chaos/` (embedded at build time).
-///
-/// * `sample-loss` — up to 50% of an interval's stats flow lost before the
-///   MM sees it (30% VIRQ drop + 20% netlink drop), plus light delay,
-///   duplication and reordering. Exercises gap detection, duplicate
-///   discard and the hypervisor's stale-target TTL fallback.
-/// * `flaky-hypercalls` — 25% of `SetTargets` pushes fail. Exercises the
-///   dom0 relay's retry-with-backoff and push supersession.
-/// * `mm-crash` — the MM process dies after its 5th cycle and the watchdog
-///   restarts it 3 intervals later. Exercises state rebuild from the next
-///   sample window and the TTL fallback while the MM is down.
-/// * `bitrot` — 2% of admitted puts are bit-flipped and 1% land torn, with
-///   the pool scrubber sweeping every 5 intervals. Exercises end-to-end
-///   page integrity: every corruption must be *detected* (never returned
-///   as wrong bytes) and either recovered by the guest's bounded
-///   retry/requeue path or quarantined by the scrubber. The profile also
-///   sets a 5% ephemeral loss rate so any future ephemeral (cleancache)
-///   traffic degrades to clean misses; frontswap-only scenarios draw it
-///   zero times.
-/// * `backend-brownout` — 5% of persistent puts fail with an injected I/O
-///   error, and every 20 intervals the backend goes dark for 4, rejecting
-///   all puts. Exercises the guest's disk fallback under a flaky/stalling
-///   backend: the failure mode is slowdown, never corruption.
+/// The shipped chaos profiles, in report order: `sample-loss`,
+/// `flaky-hypercalls` and `mm-crash` degrade the control plane, `bitrot`
+/// and `backend-brownout` the data plane. Parsed from the files under
+/// `scenarios/chaos/`, embedded at build time.
 pub fn shipped_profiles() -> Vec<ChaosProfile> {
     PROFILE_FILES
         .iter()

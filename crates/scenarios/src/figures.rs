@@ -18,7 +18,7 @@
 use crate::batch::{run_cells, Cell};
 use crate::config::RunConfig;
 use crate::dsl::expand_cells;
-use crate::runner::{ClusterConfig, SeriesBundle, VmResult};
+use crate::runner::{ClusterConfig, RunResult, SeriesBundle, VmResult};
 use crate::spec::{build_scenario, usemem_alloc_label, ProgramStep, ScenarioKind, WorkloadSpec};
 use sim_core::metrics::Summary;
 use sim_core::rng::SplitMix64;
@@ -204,31 +204,19 @@ pub fn produce(def: &FigureDef, cfg: &RunConfig, reps: u64) -> Figure {
             running_time_groups(def.scenario, &policies, cfg, reps, usemem_span_bars(cfg))
         }
         Fold::Series => {
-            let spec = build_scenario(def.scenario, cfg);
-            let vm_names = spec.vms.iter().map(|v| v.config.name.clone()).collect();
             let series_cfg = RunConfig {
                 record_series: true,
                 ..cfg.clone()
             };
-            let cells = policies
-                .iter()
-                .map(|&policy| Cell {
-                    spec: spec.clone(),
-                    policy,
-                    cfg: series_cfg.clone(),
-                    cluster: ClusterConfig::default(),
-                })
-                .collect();
-            let panels = run_cells(cells, cfg.jobs, |_, c| {
-                let r = c.into_single();
-                assert!(!r.truncated);
-                (r.policy, r.series.expect("series recording requested"))
-            });
+            let runs = run_grid(def.scenario, &policies, 1, cfg, |_| series_cfg.clone());
             return Figure::Series(SeriesFigure {
                 id: def.id.into(),
                 title: def.title.into(),
-                panels,
-                vm_names,
+                vm_names: runs[0].vm_results.iter().map(|v| v.name.clone()).collect(),
+                panels: runs
+                    .into_iter()
+                    .map(|r| (r.policy, r.series.expect("series recording requested")))
+                    .collect(),
             });
         }
     };
@@ -285,28 +273,12 @@ pub fn running_time_groups(
     extract: impl Fn(&VmResult) -> Vec<(String, SimDuration)>,
 ) -> Vec<BarGroup> {
     assert!(reps > 0);
-    // Every (policy, rep) cell runs in parallel when `cfg.jobs > 1`;
-    // results come back policy-major, rep-minor — the serial loop order.
-    let spec = build_scenario(kind, cfg);
     let reps_u32 = u32::try_from(reps).expect("repetition count fits in u32");
-    let cells = expand_cells(1, policies.len(), 1, reps_u32)
-        .into_iter()
-        .map(|id| Cell {
-            spec: spec.clone(),
-            policy: policies[id.policy],
-            cfg: RunConfig {
-                seed: SplitMix64::new(cfg.seed)
-                    .derive(&format!("rep{}", id.rep))
-                    .next(),
-                ..cfg.clone()
-            },
-            cluster: ClusterConfig::default(),
-        })
-        .collect();
-    let results = run_cells(cells, cfg.jobs, |_, c| {
-        let r = c.into_single();
-        assert!(!r.truncated, "{kind:?}/{} hit the safety cutoff", r.policy);
-        r
+    let results = run_grid(kind, policies, reps_u32, cfg, |rep| RunConfig {
+        seed: SplitMix64::new(cfg.seed)
+            .derive(&format!("rep{rep}"))
+            .next(),
+        ..cfg.clone()
     });
     policies
         .iter()
@@ -341,6 +313,33 @@ pub fn running_time_groups(
             }
         })
         .collect()
+}
+
+/// Run `kind` under every policy `reps` times on one host, rep `N` with
+/// `cfg_of(N)`. Every cell runs in parallel when `cfg.jobs > 1`; results
+/// come back policy-major, rep-minor — the serial loop order.
+fn run_grid(
+    kind: ScenarioKind,
+    policies: &[PolicyKind],
+    reps: u32,
+    cfg: &RunConfig,
+    cfg_of: impl Fn(u32) -> RunConfig,
+) -> Vec<RunResult> {
+    let spec = build_scenario(kind, cfg);
+    let cells = expand_cells(1, policies.len(), 1, reps)
+        .into_iter()
+        .map(|id| Cell {
+            spec: spec.clone(),
+            policy: policies[id.policy],
+            cfg: cfg_of(id.rep),
+            cluster: ClusterConfig::default(),
+        })
+        .collect();
+    run_cells(cells, cfg.jobs, |_, c| {
+        let r = c.into_single();
+        assert!(!r.truncated, "{kind:?}/{} hit the safety cutoff", r.policy);
+        r
+    })
 }
 
 /// Table II as structured rows (scenario, VM parameters, program).
