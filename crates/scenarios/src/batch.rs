@@ -157,7 +157,7 @@ pub fn result_digest(r: &RunResult) -> u64 {
 /// Digest one cell's [`ClusterResult`]: a one-host cell's
 /// [`result_digest`], or FNV-1a over every host's digest (16 hex digits
 /// each, host order) for a multi-host cell.
-pub fn cell_digest(c: &ClusterResult) -> u64 {
+fn cell_digest(c: &ClusterResult) -> u64 {
     match c.host_results.as_slice() {
         [one] => result_digest(one),
         hosts => {
@@ -247,7 +247,7 @@ impl SweepPlan {
 
     /// The runnable cell `id`: its scenario on that entry's topology,
     /// seeded by `derive(seed, label)` with the chaos entry's faults.
-    pub fn cell(&self, id: CellId) -> Cell {
+    fn cell(&self, id: CellId) -> Cell {
         let cfg = RunConfig {
             seed: SplitMix64::new(self.cfg.seed)
                 .derive(&self.cell_label(id))
