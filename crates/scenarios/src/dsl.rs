@@ -805,7 +805,8 @@ pub fn load_scenario(path: &Path, cfg: &RunConfig) -> Result<ScenarioDoc, String
 /// `fleet:[<hosts>x]<vms>…` spelling. A spelled multi-host fleet runs on
 /// the default cluster: tmem sharded over the datacenter interconnect,
 /// the fleet scheduler at its default tunables, no far tier. The one
-/// resolver behind `run`, `trace`, `run-file`, sweeps and `bench-fleet`.
+/// resolver behind `run`, `trace`, sweeps and `bench-fleet`; `run-file`
+/// reads its file through [`load_scenario`], the file branch here.
 pub fn resolve_scenario(entry: &str, cfg: &RunConfig, dir: &Path) -> Result<ScenarioDoc, String> {
     if entry.ends_with(".toml") {
         return load_scenario(&dir.join(entry), cfg);
