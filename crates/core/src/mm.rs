@@ -12,7 +12,7 @@
 
 use crate::history::{SeqObservation, StatsHistory};
 use crate::policy::{Policy, PolicyKind};
-use sim_core::trace::{Payload, Subsystem, Tracer};
+use sim_core::trace::{Payload, Tracer};
 use tmem::stats::{MmTarget, StatsMsg};
 
 /// Sampling cycles a restarted MM observes before computing targets again.
@@ -102,7 +102,7 @@ impl MemoryManager {
             SeqObservation::Duplicate | SeqObservation::Stale => {
                 self.discarded += 1;
                 self.tracer
-                    .emit(|| (None, Subsystem::Mm, Payload::MmDiscard { seq_in: msg.seq }));
+                    .emit(|| (None, Payload::MmDiscard { seq_in: msg.seq }));
                 return None;
             }
         }
@@ -117,7 +117,6 @@ impl MemoryManager {
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Mm,
                     Payload::MmDecision {
                         seq_in: msg.seq,
                         push_seq: 0,
@@ -144,7 +143,6 @@ impl MemoryManager {
         self.tracer.emit(|| {
             (
                 None,
-                Subsystem::Mm,
                 Payload::MmDecision {
                     seq_in: msg.seq,
                     push_seq: if sent { push_seq } else { 0 },
@@ -170,8 +168,7 @@ impl MemoryManager {
     /// modeling the restart reading the last sequence from the relay.
     pub fn crash(&mut self) {
         let cycle = self.cycles;
-        self.tracer
-            .emit(|| (None, Subsystem::Mm, Payload::MmCrash { cycle }));
+        self.tracer.emit(|| (None, Payload::MmCrash { cycle }));
         if let Some(kind) = self.kind {
             if let Some(policy) = kind.build() {
                 self.policy = policy;

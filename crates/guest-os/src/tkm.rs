@@ -14,7 +14,7 @@
 //!   ablation) can observe the traffic the paper describes.
 
 use sim_core::faults::{FaultInjector, NetlinkFate};
-use sim_core::trace::{Payload, PushOutcome, Subsystem, Tracer};
+use sim_core::trace::{Payload, PushOutcome, Tracer};
 use std::collections::VecDeque;
 use tmem::backend::PoolKind;
 use tmem::error::TmemError;
@@ -131,13 +131,8 @@ impl Dom0Tkm {
         // by the communication-overhead ablation. Counted even for dropped
         // messages: the send side still pays for them.
         self.stats_bytes += 32 + 64 * msg.stats.vms.len() as u64;
-        self.tracer.emit(|| {
-            (
-                None,
-                Subsystem::Relay,
-                Payload::NetlinkStats { seq: msg.seq, fate },
-            )
-        });
+        self.tracer
+            .emit(|| (None, Payload::NetlinkStats { seq: msg.seq, fate }));
         match fate {
             NetlinkFate::Drop => {}
             NetlinkFate::Reorder => {
@@ -175,7 +170,6 @@ impl Dom0Tkm {
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Relay,
                     Payload::RelayShed {
                         seq: shed.map(|m| m.seq).unwrap_or(0),
                     },
@@ -186,7 +180,6 @@ impl Dom0Tkm {
         self.tracer.emit(|| {
             (
                 None,
-                Subsystem::Relay,
                 Payload::RelayEnqueue {
                     seq: self.queue.back().map(|m| m.seq).unwrap_or(0),
                     depth: self.queue.len() as u64,
@@ -220,7 +213,6 @@ impl Dom0Tkm {
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Relay,
                     Payload::RelayPush {
                         seq: old.msg.seq,
                         attempt: old.attempts,
@@ -241,7 +233,6 @@ impl Dom0Tkm {
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Relay,
                     Payload::RelayPush {
                         seq,
                         attempt: 1,
@@ -254,7 +245,6 @@ impl Dom0Tkm {
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Relay,
                     Payload::RelayPush {
                         seq,
                         attempt: 1,
@@ -294,7 +284,6 @@ impl Dom0Tkm {
                 self.tracer.emit(|| {
                     (
                         None,
-                        Subsystem::Relay,
                         Payload::RelayPush {
                             seq: p.msg.seq,
                             attempt,
@@ -307,7 +296,6 @@ impl Dom0Tkm {
                 self.tracer.emit(|| {
                     (
                         None,
-                        Subsystem::Relay,
                         Payload::RelayPush {
                             seq: p.msg.seq,
                             attempt,
@@ -321,7 +309,6 @@ impl Dom0Tkm {
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Relay,
                     Payload::RelayPush {
                         seq: p.msg.seq,
                         attempt,

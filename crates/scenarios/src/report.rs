@@ -204,60 +204,6 @@ pub fn render_fleet(c: &ClusterResult) -> String {
     out
 }
 
-/// Write the fleet report as CSV (`fleet_report.csv` under `dir`): one
-/// row per host plus a `fleet` aggregate row. Host rows carry the
-/// per-host occupancy and migration-ledger columns; the aggregate row
-/// additionally fills the fleet-wide stranded-memory and
-/// cross-host-traffic columns (blank on host rows).
-pub fn write_fleet_csv(c: &ClusterResult, dir: &Path) -> io::Result<std::path::PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join("fleet_report.csv");
-    let mut body = String::from(
-        "host,vms,tmem_pages,far_pages,migrations_out,migrations_in,\
-         migrate_pages,migrate_purged,migrate_spilled,migrations,\
-         downtime_ns,stranded_page_intervals,cross_host_transfers,\
-         cross_host_pages,net_queue_wait_ns\n",
-    );
-    let (mut vms, mut tmem, mut far) = (0usize, 0u64, 0u64);
-    let (mut out_n, mut in_n, mut moved, mut purged, mut spilled) = (0u64, 0u64, 0u64, 0u64, 0u64);
-    for (h, r) in c.host_results.iter().enumerate() {
-        let t: u64 = r.final_tmem_used.iter().sum();
-        let fr: u64 = r.final_far_used.iter().sum();
-        let l = &r.faults;
-        let _ = writeln!(
-            body,
-            "{h},{},{t},{fr},{},{},{},{},{},,,,,,",
-            r.vm_results.len(),
-            l.migrations_out,
-            l.migrations_in,
-            l.migrate_pages,
-            l.migrate_purged,
-            l.migrate_spilled,
-        );
-        vms += r.vm_results.len();
-        tmem += t;
-        far += fr;
-        out_n += l.migrations_out;
-        in_n += l.migrations_in;
-        moved += l.migrate_pages;
-        purged += l.migrate_purged;
-        spilled += l.migrate_spilled;
-    }
-    let f = &c.fleet;
-    let _ = writeln!(
-        body,
-        "fleet,{vms},{tmem},{far},{out_n},{in_n},{moved},{purged},{spilled},{},{},{},{},{},{}",
-        f.migrations,
-        f.migration_downtime.as_nanos(),
-        f.stranded_page_intervals,
-        f.cross_host_transfers,
-        f.cross_host_pages,
-        f.net_queue_wait.as_nanos(),
-    );
-    fs::write(&path, body)?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

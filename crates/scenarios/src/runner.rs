@@ -38,7 +38,7 @@ use sim_core::metrics::TimeSeries;
 use sim_core::netmodel::{Link, NetModel};
 use sim_core::rng::SplitMix64;
 use sim_core::time::{SimDuration, SimTime};
-use sim_core::trace::{Payload, Subsystem, TraceData, Tracer};
+use sim_core::trace::{Payload, TraceData, Tracer};
 use smartmem_core::fleet::{
     stranded_pages, FleetConfig, FleetManager, HostLoad, MigrationPlan, VmPlacement,
 };
@@ -816,8 +816,7 @@ impl Runner {
             }
             host.mm_down_until = None;
             host.injector.ledger_mut().mm_restarts += 1;
-            host.tracer
-                .emit(|| (None, Subsystem::Mm, Payload::MmRestart));
+            host.tracer.emit(|| (None, Payload::MmRestart));
         }
         let mm = host.mm.as_mut().expect("caller checked mm.is_some()");
         // Crash schedule keys on completed MM cycles, so a fixed
@@ -889,7 +888,7 @@ impl Runner {
         let seq = msg.seq;
         let fate = host.injector.sample_fate();
         host.tracer
-            .emit(|| (None, Subsystem::Virq, Payload::VirqSample { seq, fate }));
+            .emit(|| (None, Payload::VirqSample { seq, fate }));
         // The channel's output batch is handed to the relay in one call —
         // the relay still draws a fault fate per logical message, so the
         // fault stream is that of message-at-a-time delivery.
@@ -939,13 +938,8 @@ impl Runner {
         if !ok {
             ledger.invariant_violations += 1;
         }
-        host.tracer.emit(|| {
-            (
-                None,
-                Subsystem::Virq,
-                Payload::IntervalClose { seq, stale, ok },
-            )
-        });
+        host.tracer
+            .emit(|| (None, Payload::IntervalClose { seq, stale, ok }));
     }
 
     /// The fleet half of the VIRQ: pressure vectors, stranded-capacity
@@ -1052,7 +1046,6 @@ impl Runner {
             host.tracer.emit(|| {
                 (
                     Some(vm.0),
-                    Subsystem::Fleet,
                     Payload::MigrateOut {
                         pages: local_n,
                         far: far_n,
@@ -1107,7 +1100,6 @@ impl Runner {
             host.tracer.emit(|| {
                 (
                     Some(vm.0),
-                    Subsystem::Fleet,
                     Payload::MigrateIn {
                         pages: outcome.stored,
                         far: outcome.stored_far,
@@ -1143,7 +1135,6 @@ impl Runner {
         self.hosts[h].tracer.emit(|| {
             (
                 Some(vm.0),
-                Subsystem::Fleet,
                 Payload::MigrateDone {
                     downtime: downtime.as_nanos(),
                 },

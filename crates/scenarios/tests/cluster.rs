@@ -16,8 +16,8 @@
 //! 3. **Far tier.** Spilling into far memory is deterministic, visible in
 //!    the trace, and — when disabled — completely absent (no far events,
 //!    no far occupancy, byte-identical reruns).
-//! 4. **The fleet report.** The human-readable table and the CSV are
-//!    golden-pinned; regenerate deliberately with
+//! 4. **The fleet report.** The human-readable table is golden-pinned;
+//!    regenerate it deliberately with
 //!    `REGEN_TRACE_GOLDEN=1 cargo test -p smartmem-scenarios --test cluster`.
 
 use proptest::prelude::*;
@@ -461,33 +461,12 @@ fn two_host_chaos_cells_replay_under_mm_crash_and_bitrot() {
 // 4. The fleet report, golden-pinned
 // ---------------------------------------------------------------------------
 
-/// Compare `actual` to the committed golden, or rewrite it when
-/// `REGEN_TRACE_GOLDEN=1` (then fail, so a regen run is never green).
-fn check_golden(name: &str, actual: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("REGEN_TRACE_GOLDEN").is_some() {
-        // Write (don't panic) so a single regen run refreshes every golden
-        // this test checks; the caller fails the test afterwards.
-        std::fs::write(&path, actual).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("reading golden {}: {e}", path.display()));
-    assert_eq!(
-        actual, expected,
-        "{name} drifted from the committed golden. If the change is \
-         deliberate, regenerate with REGEN_TRACE_GOLDEN=1"
-    );
-}
-
-/// The rendered fleet table and the `fleet_report.csv` body of one fully
-/// deterministic 2x8 cell (far tier on, eager migration) are pinned
-/// byte-exactly, stranded-memory and cross-host-traffic columns included.
+/// The rendered fleet table of one fully deterministic 2x8 cell (far tier
+/// on, eager migration) is pinned byte-exactly, stranded-memory and
+/// cross-host-traffic lines included. `REGEN_TRACE_GOLDEN=1` rewrites the
+/// golden and then fails, so a regen run is never green.
 #[test]
-fn fleet_report_and_csv_match_goldens() {
+fn fleet_report_matches_golden() {
     let cfg = traced_cfg(20260807, FaultProfile::none());
     let spec = cluster_spec(fleet_kind(8, 8), 2, &cfg);
     let far = FarConfig {
@@ -500,15 +479,20 @@ fn fleet_report_and_csv_match_goldens() {
         migration: Some(eager_migration()),
     };
     let cr = run_cluster(spec, PolicyKind::SmartAlloc { p: 2.0 }, &cfg, &cluster);
-    check_golden("fleet_report_2x8.txt", &report::render_fleet(&cr));
-
-    let dir = std::env::temp_dir().join("smartmem-cluster-golden");
-    let path = report::write_fleet_csv(&cr, &dir).unwrap();
-    let body = std::fs::read_to_string(&path).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    check_golden("fleet_report_2x8.csv", &body);
-    assert!(
-        std::env::var_os("REGEN_TRACE_GOLDEN").is_none(),
-        "regenerated goldens — rerun without REGEN_TRACE_GOLDEN"
+    let actual = report::render_fleet(&cr);
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fleet_report_2x8.txt");
+    if std::env::var_os("REGEN_TRACE_GOLDEN").is_some() {
+        std::fs::write(&path, actual).unwrap();
+        panic!(
+            "regenerated {} — rerun without REGEN_TRACE_GOLDEN",
+            path.display()
+        );
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("reading golden {}: {e}", path.display()));
+    assert_eq!(
+        actual, expected,
+        "the fleet report drifted from the committed golden. If the change \
+         is deliberate, regenerate with REGEN_TRACE_GOLDEN=1"
     );
 }

@@ -254,7 +254,7 @@ fn write_filter_restricts_subsystems_and_is_recorded() {
     assert!(parsed
         .events
         .iter()
-        .all(|e| matches!(e.subsystem, Subsystem::Mm | Subsystem::Hypervisor)));
+        .all(|e| matches!(e.subsystem(), Subsystem::Mm | Subsystem::Hypervisor)));
     assert!(parsed.events.len() < data.events.len());
 }
 
@@ -299,10 +299,9 @@ fn trace_schema_golden_covers_every_event_kind() {
         "bump the golden file name with the schema"
     );
     let tracer = Tracer::new(Recorder::new(1024, Some(CostModel::hdd())));
-    let evs: Vec<(Option<u32>, Subsystem, Payload)> = vec![
+    let evs: Vec<(Option<u32>, Payload)> = vec![
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::Put {
                 pool: 0,
                 result: PutResult::Stored,
@@ -312,7 +311,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::Put {
                 pool: 0,
                 result: PutResult::Replaced,
@@ -322,7 +320,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(2),
-            Subsystem::Tmem,
             Payload::Put {
                 pool: 1,
                 result: PutResult::StoredEvict,
@@ -332,7 +329,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(2),
-            Subsystem::Tmem,
             Payload::Put {
                 pool: 1,
                 result: PutResult::RejectTarget,
@@ -342,7 +338,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(2),
-            Subsystem::Tmem,
             Payload::Put {
                 pool: 1,
                 result: PutResult::RejectCapacity,
@@ -350,10 +345,9 @@ fn trace_schema_golden_covers_every_event_kind() {
                 target: 100,
             },
         ),
-        (Some(1), Subsystem::Tmem, Payload::Evict { pool: 1 }),
+        (Some(1), Payload::Evict { pool: 1 }),
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::Get {
                 pool: 0,
                 hit: true,
@@ -362,31 +356,17 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::Get {
                 pool: 1,
                 hit: false,
                 freed: false,
             },
         ),
-        (
-            Some(1),
-            Subsystem::Tmem,
-            Payload::Flush { pool: 0, pages: 1 },
-        ),
-        (
-            Some(1),
-            Subsystem::Tmem,
-            Payload::PoolDestroy { pool: 0, pages: 7 },
-        ),
-        (
-            Some(3),
-            Subsystem::Tmem,
-            Payload::Reclaim { pool: 2, pages: 4 },
-        ),
+        (Some(1), Payload::Flush { pool: 0, pages: 1 }),
+        (Some(1), Payload::PoolDestroy { pool: 0, pages: 7 }),
+        (Some(3), Payload::Reclaim { pool: 2, pages: 4 }),
         (
             None,
-            Subsystem::Hypervisor,
             Payload::TargetsApplied {
                 seq: 5,
                 entries: 3,
@@ -395,7 +375,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Hypervisor,
             Payload::TargetsApplied {
                 seq: 4,
                 entries: 3,
@@ -404,7 +383,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Virq,
             Payload::VirqSample {
                 seq: 6,
                 fate: SampleFate::Deliver,
@@ -412,7 +390,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Virq,
             Payload::VirqSample {
                 seq: 7,
                 fate: SampleFate::Drop,
@@ -420,7 +397,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Virq,
             Payload::VirqSample {
                 seq: 8,
                 fate: SampleFate::Delay,
@@ -428,7 +404,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Virq,
             Payload::VirqSample {
                 seq: 9,
                 fate: SampleFate::Duplicate,
@@ -436,7 +411,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Virq,
             Payload::IntervalClose {
                 seq: 6,
                 stale: false,
@@ -445,7 +419,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Virq,
             Payload::IntervalClose {
                 seq: 7,
                 stale: true,
@@ -454,7 +427,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Relay,
             Payload::NetlinkStats {
                 seq: 6,
                 fate: NetlinkFate::Deliver,
@@ -462,7 +434,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Relay,
             Payload::NetlinkStats {
                 seq: 7,
                 fate: NetlinkFate::Drop,
@@ -470,21 +441,15 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Relay,
             Payload::NetlinkStats {
                 seq: 8,
                 fate: NetlinkFate::Reorder,
             },
         ),
+        (None, Payload::RelayEnqueue { seq: 6, depth: 2 }),
+        (None, Payload::RelayShed { seq: 5 }),
         (
             None,
-            Subsystem::Relay,
-            Payload::RelayEnqueue { seq: 6, depth: 2 },
-        ),
-        (None, Subsystem::Relay, Payload::RelayShed { seq: 5 }),
-        (
-            None,
-            Subsystem::Relay,
             Payload::RelayPush {
                 seq: 5,
                 attempt: 1,
@@ -493,7 +458,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Relay,
             Payload::RelayPush {
                 seq: 5,
                 attempt: 2,
@@ -502,7 +466,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Relay,
             Payload::RelayPush {
                 seq: 5,
                 attempt: 3,
@@ -511,7 +474,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Relay,
             Payload::RelayPush {
                 seq: 5,
                 attempt: 4,
@@ -520,7 +482,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Mm,
             Payload::MmDecision {
                 seq_in: 6,
                 push_seq: 5,
@@ -532,7 +493,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Mm,
             Payload::MmDecision {
                 seq_in: 7,
                 push_seq: 0,
@@ -542,61 +502,53 @@ fn trace_schema_golden_covers_every_event_kind() {
                 rescale: None,
             },
         ),
-        (None, Subsystem::Mm, Payload::MmDiscard { seq_in: 6 }),
-        (None, Subsystem::Mm, Payload::MmCrash { cycle: 9 }),
-        (None, Subsystem::Mm, Payload::MmRestart),
+        (None, Payload::MmDiscard { seq_in: 6 }),
+        (None, Payload::MmCrash { cycle: 9 }),
+        (None, Payload::MmRestart),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::SampleDrop,
             },
         ),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::SampleDelay,
             },
         ),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::SampleDuplicate,
             },
         ),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::NetlinkDrop,
             },
         ),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::NetlinkReorder,
             },
         ),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::HypercallFail,
             },
         ),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::MmCrash,
             },
         ),
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::PoolCreate {
                 pool: 0,
                 ephemeral: false,
@@ -604,7 +556,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::PoolCreate {
                 pool: 3,
                 ephemeral: true,
@@ -612,7 +563,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::Put {
                 pool: 0,
                 result: PutResult::StoredFar,
@@ -620,15 +570,10 @@ fn trace_schema_golden_covers_every_event_kind() {
                 target: 100,
             },
         ),
-        (Some(1), Subsystem::Tmem, Payload::FarGet { pool: 0 }),
-        (
-            Some(1),
-            Subsystem::Tmem,
-            Payload::FarFlush { pool: 0, pages: 3 },
-        ),
+        (Some(1), Payload::FarGet { pool: 0 }),
+        (Some(1), Payload::FarFlush { pool: 0, pages: 3 }),
         (
             Some(2),
-            Subsystem::Fleet,
             Payload::MigrateOut {
                 pages: 40,
                 far: 5,
@@ -638,7 +583,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(2),
-            Subsystem::Fleet,
             Payload::MigrateIn {
                 pages: 38,
                 far: 5,
@@ -647,15 +591,14 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(2),
-            Subsystem::Fleet,
             Payload::MigrateDone {
                 downtime: 5_702_400,
             },
         ),
     ];
-    for (i, (vm, sub, payload)) in evs.into_iter().enumerate() {
+    for (i, (vm, payload)) in evs.into_iter().enumerate() {
         tracer.set_now(SimTime(i as u64 * 1_000));
-        tracer.emit(|| (vm, sub, payload));
+        tracer.emit(|| (vm, payload));
     }
     let data = tracer.finish().unwrap();
     let header = TraceHeader {

@@ -17,7 +17,7 @@
 //! runs byte-identical to a build without the injector.
 
 use crate::rng::SplitMix64;
-use crate::trace::{FaultKind, Payload, Subsystem, Tracer};
+use crate::trace::{labels, FaultKind, Payload, Tracer};
 
 /// Probabilities and schedules for control-plane faults.
 ///
@@ -292,28 +292,30 @@ impl FaultProfile {
     }
 }
 
-/// What happens to one VIRQ statistics sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SampleFate {
-    /// Delivered normally.
-    Deliver,
-    /// Lost; dom0 never sees this interval's sample.
-    Drop,
-    /// Held back one interval and delivered behind the next sample.
-    Delay,
-    /// Delivered twice (retransmission glitch).
-    Duplicate,
+labels! {
+    /// What happens to one VIRQ statistics sample.
+    pub enum SampleFate {
+        /// Delivered normally.
+        Deliver as "deliver",
+        /// Lost; dom0 never sees this interval's sample.
+        Drop as "drop",
+        /// Held back one interval and delivered behind the next sample.
+        Delay as "delay",
+        /// Delivered twice (retransmission glitch).
+        Duplicate as "dup",
+    }
 }
 
-/// What happens to one netlink stats message (dom0 → MM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetlinkFate {
-    /// Delivered normally.
-    Deliver,
-    /// Lost in the socket; the MM never sees it.
-    Drop,
-    /// Deferred behind the next message (reordering).
-    Reorder,
+labels! {
+    /// What happens to one netlink stats message (dom0 → MM).
+    pub enum NetlinkFate {
+        /// Delivered normally.
+        Deliver as "deliver",
+        /// Lost in the socket; the MM never sees it.
+        Drop as "drop",
+        /// Deferred behind the next message (reordering).
+        Reorder as "reorder",
+    }
 }
 
 /// Running totals of injected faults and degradation events for one run.
@@ -447,8 +449,7 @@ impl FaultInjector {
     }
 
     fn trace_fault(&self, kind: FaultKind) {
-        self.tracer
-            .emit(|| (None, Subsystem::Fault, Payload::Fault { kind }));
+        self.tracer.emit(|| (None, Payload::Fault { kind }));
     }
 
     /// An injector that never injects anything.

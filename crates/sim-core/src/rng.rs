@@ -6,12 +6,8 @@
 //! keeps components statistically independent while making whole-experiment
 //! replay bit-exact — the determinism integration test relies on it.
 //!
-//! `SplitMix64` (Steele, Lea & Flood, OOPSLA'14) is tiny, passes BigCrush
-//! when used as a 64-bit stream, and needs no feature flags from the `rand`
-//! crate; we only implement [`rand::RngCore`] on top of it so the usual
-//! distribution adaptors work.
-
-use rand::{Error, RngCore, SeedableRng};
+//! `SplitMix64` (Steele, Lea & Flood, OOPSLA'14) is tiny and passes
+//! BigCrush when used as a 64-bit stream.
 
 /// A 64-bit SplitMix generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,32 +71,6 @@ impl SplitMix64 {
     }
 }
 
-impl RngCore for SplitMix64 {
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for SplitMix64 {
-    type Seed = [u8; 8];
-    fn from_seed(seed: Self::Seed) -> Self {
-        SplitMix64::new(u64::from_le_bytes(seed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,16 +122,5 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean was {mean}");
-    }
-
-    #[test]
-    fn fill_bytes_handles_partial_chunks() {
-        let mut rng = SplitMix64::new(5);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        // A second fill from the same state must differ (stream advances).
-        let snapshot = buf;
-        rng.fill_bytes(&mut buf);
-        assert_ne!(snapshot, buf);
     }
 }

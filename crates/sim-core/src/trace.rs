@@ -11,7 +11,9 @@
 //!   rescale inputs,
 //! * fault layer: every injected fault.
 //!
-//! Events carry `(SimTime, vm, subsystem, payload)`. A [`Recorder`] folds
+//! Events carry `(SimTime, vm, payload)`; the payload's kind fixes the
+//! emitting subsystem, and one declaration table (`events!`) spells out
+//! each kind's JSONL name, subsystem and fields. A [`Recorder`] folds
 //! each event once into a [`Fold`] (occupancy, per-VM admission counts,
 //! fault and fate counts, MM sequence gaps, migration flows) and then pushes
 //! it into a bounded ring, the window the JSONL form writes. The fold sees
@@ -64,98 +66,97 @@ impl Default for TraceConfig {
     }
 }
 
-/// Which layer of the stack emitted an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Subsystem {
-    /// The tmem datapath (put/get/flush/evict/reclaim).
-    Tmem,
-    /// Hypervisor control state (target-vector application).
-    Hypervisor,
-    /// Per-second VIRQ sampling (sample fates, interval closes).
-    Virq,
-    /// The dom0 TKM netlink relay (enqueue/shed/push/retry).
-    Relay,
-    /// The user-space Memory Manager (decisions, discards, crashes).
-    Mm,
-    /// The fault-injection layer (one event per injected fault).
-    Fault,
-    /// The fleet layer (far-memory tier traffic, VM migrations).
-    Fleet,
-}
-
-impl Subsystem {
-    /// Stable lower-case label used in the JSONL form and `--filter`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Subsystem::Tmem => "tmem",
-            Subsystem::Hypervisor => "hyp",
-            Subsystem::Virq => "virq",
-            Subsystem::Relay => "relay",
-            Subsystem::Mm => "mm",
-            Subsystem::Fault => "fault",
-            Subsystem::Fleet => "fleet",
+/// Declares a label enum: each variant is written in the JSONL form as one
+/// fixed string, and `from_label` reads it back off the same list.
+macro_rules! labels {
+    ($(#[$meta:meta])* pub enum $name:ident {
+        $($(#[$vmeta:meta])* $variant:ident as $label:literal,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)*
         }
-    }
 
-    /// Inverse of [`Subsystem::as_str`].
-    pub fn from_label(s: &str) -> Option<Self> {
-        Some(match s {
-            "tmem" => Subsystem::Tmem,
-            "hyp" => Subsystem::Hypervisor,
-            "virq" => Subsystem::Virq,
-            "relay" => Subsystem::Relay,
-            "mm" => Subsystem::Mm,
-            "fault" => Subsystem::Fault,
-            "fleet" => Subsystem::Fleet,
-            _ => return None,
-        })
-    }
+        impl $name {
+            /// Every variant, in discriminant order.
+            pub const ALL: &'static [$name] = &[$($name::$variant),*];
 
-    /// All subsystems, in schema order.
-    pub const ALL: [Subsystem; 7] = [
-        Subsystem::Tmem,
-        Subsystem::Hypervisor,
-        Subsystem::Virq,
-        Subsystem::Relay,
-        Subsystem::Mm,
-        Subsystem::Fault,
-        Subsystem::Fleet,
-    ];
+            /// Stable label used in the JSONL form.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)*
+                }
+            }
+
+            /// Inverse of `as_str`.
+            pub(crate) fn from_label(s: &str) -> Option<Self> {
+                Self::ALL.iter().copied().find(|v| v.as_str() == s)
+            }
+        }
+
+        impl $crate::trace::Wire for $name {
+            fn write(&self, out: &mut String) {
+                out.push('"');
+                out.push_str(self.as_str());
+                out.push('"');
+            }
+
+            fn read(v: &$crate::trace::Json) -> Option<Self> {
+                match v {
+                    $crate::trace::Json::S(s) => Self::from_label(s),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+pub(crate) use labels;
+
+labels! {
+    /// Which layer of the stack emitted an event. The label is also the
+    /// `--filter` name.
+    pub enum Subsystem {
+        /// The tmem datapath (put/get/flush/evict/reclaim, far-tier traffic).
+        Tmem as "tmem",
+        /// Hypervisor control state (target-vector application).
+        Hypervisor as "hyp",
+        /// Per-second VIRQ sampling (sample fates, interval closes).
+        Virq as "virq",
+        /// The dom0 TKM netlink relay (enqueue/shed/push/retry).
+        Relay as "relay",
+        /// The user-space Memory Manager (decisions, discards, crashes).
+        Mm as "mm",
+        /// The fault-injection layer (one event per injected fault).
+        Fault as "fault",
+        /// The fleet layer (VM migrations only).
+        Fleet as "fleet",
+    }
 }
 
-/// Outcome of one tmem put as seen by the admission path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PutResult {
-    /// Stored into a free frame.
-    Stored,
-    /// Overwrote an existing copy of the same key (no frame consumed).
-    Replaced,
-    /// Stored after evicting an ephemeral victim page.
-    StoredEvict,
-    /// Rejected by Algorithm 1: `tmem_used >= mm_target`.
-    RejectTarget,
-    /// Admitted by the target check but no free frame existed.
-    RejectCapacity,
-    /// Admitted by the target check but rejected by the data-fault layer
-    /// (injected I/O failure or backend brownout window).
-    RejectIo,
-    /// Admitted by the target check, found local tmem full, and spilled
-    /// into the far-memory tier instead. No local frame consumed.
-    StoredFar,
+labels! {
+    /// Outcome of one tmem put as seen by the admission path.
+    pub enum PutResult {
+        /// Stored into a free frame.
+        Stored as "stored",
+        /// Overwrote an existing copy of the same key (no frame consumed).
+        Replaced as "replaced",
+        /// Stored after evicting an ephemeral victim page.
+        StoredEvict as "stored_evict",
+        /// Rejected by Algorithm 1: `tmem_used >= mm_target`.
+        RejectTarget as "reject_target",
+        /// Admitted by the target check but no free frame existed.
+        RejectCapacity as "reject_cap",
+        /// Admitted by the target check but rejected by the data-fault layer
+        /// (injected I/O failure or backend brownout window).
+        RejectIo as "reject_io",
+        /// Admitted by the target check, found local tmem full, and spilled
+        /// into the far-memory tier instead. No local frame consumed.
+        StoredFar as "stored_far",
+    }
 }
 
 impl PutResult {
-    /// Every outcome, in discriminant order.
-    const ALL: [PutResult; 7] = [
-        PutResult::Stored,
-        PutResult::Replaced,
-        PutResult::StoredEvict,
-        PutResult::RejectTarget,
-        PutResult::RejectCapacity,
-        PutResult::RejectIo,
-        PutResult::StoredFar,
-    ];
-
     /// Whether the page ended up in tmem (local or far tier).
     pub fn is_success(self) -> bool {
         matches!(
@@ -168,268 +169,203 @@ impl PutResult {
     pub fn consumed_frame(self) -> bool {
         matches!(self, PutResult::Stored | PutResult::StoredEvict)
     }
+}
 
-    fn as_str(self) -> &'static str {
-        match self {
-            PutResult::Stored => "stored",
-            PutResult::Replaced => "replaced",
-            PutResult::StoredEvict => "stored_evict",
-            PutResult::RejectTarget => "reject_target",
-            PutResult::RejectCapacity => "reject_cap",
-            PutResult::RejectIo => "reject_io",
-            PutResult::StoredFar => "stored_far",
+labels! {
+    /// Outcome of one `SetTargets` push attempt through the dom0 relay.
+    pub enum PushOutcome {
+        /// The hypercall went through (fresh or stale-rejected — see the
+        /// separate `TargetsApplied` event for which).
+        Landed as "landed",
+        /// The hypercall failed; the push is parked for backoff retry.
+        Parked as "parked",
+        /// A parked push was replaced by a newer target vector.
+        Superseded as "superseded",
+        /// The retry budget was exhausted; the push is dropped.
+        Abandoned as "abandoned",
+    }
+}
+
+labels! {
+    /// One injected fault, as decided by the fault layer.
+    pub enum FaultKind {
+        /// A VIRQ sample was dropped.
+        SampleDrop as "sample_drop",
+        /// A VIRQ sample was delayed one interval.
+        SampleDelay as "sample_delay",
+        /// A VIRQ sample was duplicated.
+        SampleDuplicate as "sample_dup",
+        /// A netlink stats message was lost.
+        NetlinkDrop as "netlink_drop",
+        /// A netlink stats message was reordered.
+        NetlinkReorder as "netlink_reorder",
+        /// A `SetTargets` hypercall failed.
+        HypercallFail as "hypercall_fail",
+        /// The MM process crashed.
+        MmCrash as "mm_crash",
+        /// A stored page's contents were bit-flipped.
+        PageBitflip as "page_bitflip",
+        /// A put landed torn (contents do not match the integrity summary).
+        TornWrite as "torn_write",
+        /// An ephemeral page was silently dropped after a successful put.
+        EphemeralLoss as "ephemeral_loss",
+        /// A persistent put failed with an injected backend I/O error.
+        PutIoFail as "put_io_fail",
+        /// A put was rejected inside a backend brownout window.
+        BrownoutReject as "brownout_reject",
+        /// One sampling interval spent inside a brownout window.
+        BrownoutTick as "brownout_tick",
+        /// A checksum mismatch was detected (first detection of that page).
+        CorruptDetected as "corrupt_detected",
+        /// The guest recovered from a detected corruption (clean miss or
+        /// retry/requeue rebuild).
+        CorruptRecovered as "corrupt_recovered",
+    }
+}
+
+/// The JSON key of a payload field: its name, or the `as` rename.
+macro_rules! wire_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// The event table. Each entry is `Variant as "ev" in Subsystem`, then its
+/// fields, each written to JSONL under its name (or its `as` rename). It
+/// expands to [`Payload`], [`Payload::subsystem`] and the JSONL writer and
+/// parser of every kind.
+macro_rules! events {
+    ($(
+        $(#[$meta:meta])*
+        $variant:ident as $ev:literal in $sub:ident $({
+            $($(#[$fmeta:meta])* $field:ident $(as $key:literal)?: $ty:ty,)*
+        })?
+    )*) => {
+        /// The typed body of one trace event.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Payload {
+            $($(#[$meta])* $variant $({ $($(#[$fmeta])* $field: $ty,)* })?,)*
         }
-    }
 
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "stored" => PutResult::Stored,
-            "replaced" => PutResult::Replaced,
-            "stored_evict" => PutResult::StoredEvict,
-            "reject_target" => PutResult::RejectTarget,
-            "reject_cap" => PutResult::RejectCapacity,
-            "reject_io" => PutResult::RejectIo,
-            "stored_far" => PutResult::StoredFar,
-            _ => return None,
-        })
-    }
-}
+        impl Payload {
+            /// The subsystem that emits this kind of event.
+            pub fn subsystem(&self) -> Subsystem {
+                match self {
+                    $(Payload::$variant { .. } => Subsystem::$sub,)*
+                }
+            }
 
-/// Outcome of one `SetTargets` push attempt through the dom0 relay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// The hypercall went through (fresh or stale-rejected — see the
-    /// separate `TargetsApplied` event for which).
-    Landed,
-    /// The hypercall failed; the push is parked for backoff retry.
-    Parked,
-    /// A parked push was replaced by a newer target vector.
-    Superseded,
-    /// The retry budget was exhausted; the push is dropped.
-    Abandoned,
-}
+            /// Append `,"ev":"<kind>"` and every field as `,"key":value`.
+            fn write(&self, out: &mut String) {
+                match self {
+                    $(Payload::$variant { $($($field),*)? } => {
+                        out.push_str(concat!(",\"ev\":\"", $ev, "\""));
+                        $($($field.write_field(
+                            concat!(",\"", wire_key!($field $($key)?), "\":"),
+                            out,
+                        );)*)?
+                    })*
+                }
+            }
 
-impl PushOutcome {
-    fn as_str(self) -> &'static str {
-        match self {
-            PushOutcome::Landed => "landed",
-            PushOutcome::Parked => "parked",
-            PushOutcome::Superseded => "superseded",
-            PushOutcome::Abandoned => "abandoned",
+            /// Read the payload of kind `ev` off a parsed object.
+            fn read(ev: &str, obj: &[(String, Json)]) -> Result<Self, String> {
+                match ev {
+                    $($ev => Ok(Payload::$variant {
+                        $($($field: field(obj, wire_key!($field $($key)?))?,)*)?
+                    }),)*
+                    other => Err(format!("unknown event kind '{other}'")),
+                }
+            }
         }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "landed" => PushOutcome::Landed,
-            "parked" => PushOutcome::Parked,
-            "superseded" => PushOutcome::Superseded,
-            "abandoned" => PushOutcome::Abandoned,
-            _ => return None,
-        })
-    }
+    };
 }
 
-/// One injected fault, as decided by the fault layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// A VIRQ sample was dropped.
-    SampleDrop,
-    /// A VIRQ sample was delayed one interval.
-    SampleDelay,
-    /// A VIRQ sample was duplicated.
-    SampleDuplicate,
-    /// A netlink stats message was lost.
-    NetlinkDrop,
-    /// A netlink stats message was reordered.
-    NetlinkReorder,
-    /// A `SetTargets` hypercall failed.
-    HypercallFail,
-    /// The MM process crashed.
-    MmCrash,
-    /// A stored page's contents were bit-flipped.
-    PageBitflip,
-    /// A put landed torn (contents do not match the integrity summary).
-    TornWrite,
-    /// An ephemeral page was silently dropped after a successful put.
-    EphemeralLoss,
-    /// A persistent put failed with an injected backend I/O error.
-    PutIoFail,
-    /// A put was rejected inside a backend brownout window.
-    BrownoutReject,
-    /// One sampling interval spent inside a brownout window.
-    BrownoutTick,
-    /// A checksum mismatch was detected (first detection of that page).
-    CorruptDetected,
-    /// The guest recovered from a detected corruption (clean miss or
-    /// retry/requeue rebuild).
-    CorruptRecovered,
-}
-
-impl FaultKind {
-    /// Stable snake-case label used in the JSONL form.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultKind::SampleDrop => "sample_drop",
-            FaultKind::SampleDelay => "sample_delay",
-            FaultKind::SampleDuplicate => "sample_dup",
-            FaultKind::NetlinkDrop => "netlink_drop",
-            FaultKind::NetlinkReorder => "netlink_reorder",
-            FaultKind::HypercallFail => "hypercall_fail",
-            FaultKind::MmCrash => "mm_crash",
-            FaultKind::PageBitflip => "page_bitflip",
-            FaultKind::TornWrite => "torn_write",
-            FaultKind::EphemeralLoss => "ephemeral_loss",
-            FaultKind::PutIoFail => "put_io_fail",
-            FaultKind::BrownoutReject => "brownout_reject",
-            FaultKind::BrownoutTick => "brownout_tick",
-            FaultKind::CorruptDetected => "corrupt_detected",
-            FaultKind::CorruptRecovered => "corrupt_recovered",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "sample_drop" => FaultKind::SampleDrop,
-            "sample_delay" => FaultKind::SampleDelay,
-            "sample_dup" => FaultKind::SampleDuplicate,
-            "netlink_drop" => FaultKind::NetlinkDrop,
-            "netlink_reorder" => FaultKind::NetlinkReorder,
-            "hypercall_fail" => FaultKind::HypercallFail,
-            "mm_crash" => FaultKind::MmCrash,
-            "page_bitflip" => FaultKind::PageBitflip,
-            "torn_write" => FaultKind::TornWrite,
-            "ephemeral_loss" => FaultKind::EphemeralLoss,
-            "put_io_fail" => FaultKind::PutIoFail,
-            "brownout_reject" => FaultKind::BrownoutReject,
-            "brownout_tick" => FaultKind::BrownoutTick,
-            "corrupt_detected" => FaultKind::CorruptDetected,
-            "corrupt_recovered" => FaultKind::CorruptRecovered,
-            _ => return None,
-        })
-    }
-}
-
-fn sample_fate_str(f: SampleFate) -> &'static str {
-    match f {
-        SampleFate::Deliver => "deliver",
-        SampleFate::Drop => "drop",
-        SampleFate::Delay => "delay",
-        SampleFate::Duplicate => "dup",
-    }
-}
-
-fn sample_fate_from_str(s: &str) -> Option<SampleFate> {
-    Some(match s {
-        "deliver" => SampleFate::Deliver,
-        "drop" => SampleFate::Drop,
-        "delay" => SampleFate::Delay,
-        "dup" => SampleFate::Duplicate,
-        _ => return None,
-    })
-}
-
-fn netlink_fate_str(f: NetlinkFate) -> &'static str {
-    match f {
-        NetlinkFate::Deliver => "deliver",
-        NetlinkFate::Drop => "drop",
-        NetlinkFate::Reorder => "reorder",
-    }
-}
-
-fn netlink_fate_from_str(s: &str) -> Option<NetlinkFate> {
-    Some(match s {
-        "deliver" => NetlinkFate::Deliver,
-        "drop" => NetlinkFate::Drop,
-        "reorder" => NetlinkFate::Reorder,
-        _ => return None,
-    })
-}
-
-/// The typed body of one trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Payload {
+events! {
     /// One tmem put with its Algorithm 1 admission operands: `used` and
     /// `target` are the values of `tmem_used` and `mm_target` the admission
     /// check compared (after any stale-target fallback).
-    Put {
+    Put as "put" in Tmem {
         /// Pool the put targeted.
         pool: u32,
         /// Admission/storage outcome.
-        result: PutResult,
+        result as "res": PutResult,
         /// `tmem_used` operand of the admission check.
         used: u64,
         /// Effective `mm_target` operand of the admission check.
         target: u64,
-    },
+    }
     /// An ephemeral page was evicted to make room (the event's `vm` is the
     /// *victim* owner; the beneficiary emits a `Put` with
     /// [`PutResult::StoredEvict`]).
-    Evict {
+    Evict as "evict" in Tmem {
         /// Pool the victim page belonged to.
         pool: u32,
-    },
+    }
     /// One tmem get.
-    Get {
+    Get as "get" in Tmem {
         /// Pool queried.
         pool: u32,
         /// Whether the page was present.
         hit: bool,
         /// Whether the hit freed the frame (persistent-pool exclusive get).
         freed: bool,
-    },
+    }
     /// One flush (single page).
-    Flush {
+    Flush as "flush" in Tmem {
         /// Pool flushed.
         pool: u32,
         /// Frames actually freed (0 when the page was absent).
         pages: u64,
-    },
+    }
     /// A tmem pool was created. Makes the trace self-describing: replay
     /// learns each pool's kind here, so ephemeral (cleancache) traffic can
     /// be told apart from frontswap traffic without out-of-band context.
-    PoolCreate {
+    PoolCreate as "pool_create" in Tmem {
         /// Pool created.
         pool: u32,
         /// True for ephemeral (cleancache) pools, false for persistent
         /// (frontswap) pools.
         ephemeral: bool,
-    },
+    }
     /// A whole object or pool was destroyed.
-    PoolDestroy {
+    PoolDestroy as "pool_destroy" in Tmem {
         /// Pool destroyed.
         pool: u32,
         /// Frames freed.
         pages: u64,
-    },
+    }
     /// The hypervisor reclaimed over-target persistent pages back to the
     /// guest (they fall through to disk).
-    Reclaim {
+    Reclaim as "reclaim" in Tmem {
         /// Pool reclaimed from.
         pool: u32,
         /// Frames reclaimed.
         pages: u64,
-    },
+    }
     /// A `SetTargets` hypercall reached the hypervisor.
-    TargetsApplied {
+    TargetsApplied as "targets_applied" in Hypervisor {
         /// Push sequence number.
         seq: u64,
         /// Entries in the target vector.
         entries: u32,
         /// False when the idempotence guard rejected a stale sequence.
         applied: bool,
-    },
+    }
     /// The hypervisor emitted a VIRQ statistics sample with this fate.
-    VirqSample {
+    VirqSample as "sample" in Virq {
         /// Sample sequence number.
         seq: u64,
         /// Fate assigned by the fault layer.
         fate: SampleFate,
-    },
+    }
     /// One sampling interval closed (after MM drive, reclaim and the
     /// accounting invariant check). The `k`-th `IntervalClose` aligns with
     /// the `k`-th point of every recorded time-series.
-    IntervalClose {
+    IntervalClose as "interval" in Virq {
         /// Sample sequence number of the interval.
         seq: u64,
         /// Whether the hypervisor spent this interval in stale-target
@@ -437,38 +373,38 @@ pub enum Payload {
         stale: bool,
         /// Result of the tmem accounting invariant check.
         ok: bool,
-    },
+    }
     /// A netlink stats message crossed (or failed to cross) the dom0 → MM
     /// edge.
-    NetlinkStats {
+    NetlinkStats as "stats_msg" in Relay {
         /// Sample sequence number carried by the message.
         seq: u64,
         /// Fate assigned by the fault layer.
         fate: NetlinkFate,
-    },
+    }
     /// The relay enqueued a stats message for the MM.
-    RelayEnqueue {
+    RelayEnqueue as "enqueue" in Relay {
         /// Sample sequence number.
         seq: u64,
         /// Queue depth after the enqueue.
         depth: u64,
-    },
+    }
     /// The relay shed its oldest queued message at capacity.
-    RelayShed {
+    RelayShed as "shed" in Relay {
         /// Sample sequence number of the shed (oldest) message.
         seq: u64,
-    },
+    }
     /// One `SetTargets` push attempt through the relay.
-    RelayPush {
+    RelayPush as "push" in Relay {
         /// Push sequence number.
         seq: u64,
         /// Attempt number (1 = first try; ≥ 2 = backoff retry).
         attempt: u32,
         /// What happened to the attempt.
         outcome: PushOutcome,
-    },
+    }
     /// The MM processed one fresh snapshot and decided.
-    MmDecision {
+    MmDecision as "decision" in Mm {
         /// Sequence of the snapshot consumed.
         seq_in: u64,
         /// Push sequence assigned (0 when not sent).
@@ -483,61 +419,61 @@ pub enum Payload {
         /// When the policy rescaled (Eq. 2): `(sum_targets, local_tmem)`
         /// inputs of the proportional rescale.
         rescale: Option<(u64, u64)>,
-    },
+    }
     /// The MM discarded a duplicate/stale snapshot idempotently.
-    MmDiscard {
+    MmDiscard as "discard" in Mm {
         /// Sequence of the discarded snapshot.
         seq_in: u64,
-    },
+    }
     /// The MM process crashed.
-    MmCrash {
+    MmCrash as "crash" in Mm {
         /// MM cycle count at the crash.
         cycle: u64,
-    },
+    }
     /// The watchdog restarted a crashed MM.
-    MmRestart,
+    MmRestart as "restart" in Mm
     /// The fault layer injected a fault.
-    Fault {
+    Fault as "fault" in Fault {
         /// Which fault fired.
         kind: FaultKind,
-    },
+    }
     /// The data-fault layer silently removed stored pages (ephemeral loss,
     /// a corrupt ephemeral page dropped on get, a corrupt persistent
     /// victim dropped during reclaim, or a scrubber quarantine). The
     /// event's `vm` is the owner whose occupancy shrank.
-    DataPurge {
+    DataPurge as "data_purge" in Tmem {
         /// Pool the pages were removed from.
         pool: u32,
         /// Frames freed.
         pages: u64,
-    },
+    }
     /// One pool-scrubber pass completed (node-wide).
-    Scrub {
+    Scrub as "scrub" in Tmem {
         /// Pages checksum-verified.
         checked: u64,
         /// Corrupt pages found by this pass.
         corrupt: u64,
         /// Corrupt objects quarantined by this pass.
         quarantined: u64,
-    },
+    }
     /// A get missed local tmem and was serviced by the far-memory tier
     /// (the far copy is consumed — exclusive read). Emitted in addition
     /// to the `Get` event, which reports `freed: false` because no
     /// *local* frame was released.
-    FarGet {
+    FarGet as "far_get" in Tmem {
         /// Pool the far copy belonged to.
         pool: u32,
-    },
+    }
     /// Far-tier entries were purged by a flush/destroy of their pool.
-    FarFlush {
+    FarFlush as "far_flush" in Tmem {
         /// Pool flushed.
         pool: u32,
         /// Far entries removed.
         pages: u64,
-    },
+    }
     /// A VM began migrating off this host. Emitted on the *source* host's
     /// trace; the pages named here leave this host's accounting.
-    MigrateOut {
+    MigrateOut as "migrate_out" in Fleet {
         /// Clean local tmem pages exported.
         pages: u64,
         /// Far-tier entries exported.
@@ -546,11 +482,11 @@ pub enum Payload {
         purged: u64,
         /// Resident RAM pages transferred alongside.
         ram: u64,
-    },
+    }
     /// A migrating VM landed on this host. Emitted on the *destination*
     /// host's trace. `pages + far + spilled` equals the source's
     /// `pages + far` — conservation, checked by replay.
-    MigrateIn {
+    MigrateIn as "migrate_in" in Fleet {
         /// Pages stored into the destination's local tmem.
         pages: u64,
         /// Entries stored into the destination's far tier.
@@ -558,15 +494,16 @@ pub enum Payload {
         /// Pages that found no tmem room and spilled to the destination's
         /// swap disk.
         spilled: u64,
-    },
+    }
     /// A migrated VM resumed on its destination host.
-    MigrateDone {
+    MigrateDone as "migrate_done" in Fleet {
         /// Pause-to-resume downtime in sim-nanoseconds.
         downtime: u64,
-    },
+    }
 }
 
-/// One recorded event: `(SimTime, vm, subsystem, payload)`.
+/// One recorded event: `(SimTime, vm, payload)`. The payload's kind fixes
+/// the emitting subsystem.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Simulated instant of the event.
@@ -574,10 +511,15 @@ pub struct TraceEvent {
     /// VM the event is attributed to (`None` for node-wide control-plane
     /// events).
     pub vm: Option<u32>,
-    /// Emitting subsystem.
-    pub subsystem: Subsystem,
     /// Typed body.
     pub payload: Payload,
+}
+
+impl TraceEvent {
+    /// Emitting subsystem, read off the payload's kind.
+    pub fn subsystem(&self) -> Subsystem {
+        self.payload.subsystem()
+    }
 }
 
 /// Aggregated metrics registry, read off the recorder's [`Fold`] when the
@@ -631,7 +573,7 @@ impl TraceMetrics {
 }
 
 /// Number of [`FaultKind`] variants (the length of [`Fold::faults`]).
-const FAULT_KINDS: usize = FaultKind::CorruptRecovered as usize + 1;
+const FAULT_KINDS: usize = FaultKind::ALL.len();
 
 /// What one VM sent to one kind of pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1041,11 +983,10 @@ impl Recorder {
         }
     }
 
-    fn record(&mut self, vm: Option<u32>, subsystem: Subsystem, payload: Payload) {
+    fn record(&mut self, vm: Option<u32>, payload: Payload) {
         let ev = TraceEvent {
             at: self.now,
             vm,
-            subsystem,
             payload,
         };
         self.fold.apply(&ev);
@@ -1096,14 +1037,14 @@ impl Tracer {
         }
     }
 
-    /// Emit one event. The closure builds `(vm, subsystem, payload)` and is
-    /// only evaluated when tracing is enabled — call sites pay one branch
-    /// when disabled.
+    /// Emit one event. The closure builds `(vm, payload)` and is only
+    /// evaluated when tracing is enabled — call sites pay one branch when
+    /// disabled.
     #[inline]
-    pub fn emit(&self, f: impl FnOnce() -> (Option<u32>, Subsystem, Payload)) {
+    pub fn emit(&self, f: impl FnOnce() -> (Option<u32>, Payload)) {
         if let Some(rec) = &self.0 {
-            let (vm, subsystem, payload) = f();
-            rec.borrow_mut().record(vm, subsystem, payload);
+            let (vm, payload) = f();
+            rec.borrow_mut().record(vm, payload);
         }
     }
 
@@ -1179,29 +1120,23 @@ impl TraceData {
     /// `filter` restricts the written events to the listed subsystems (the
     /// recorder always records everything; filtering is a write-time view).
     pub fn to_jsonl(&self, header: &TraceHeader, filter: Option<&[Subsystem]>) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema\":\"smartmem-trace\",\"version\":{},\"scenario\":{},\"policy\":{},\"seed\":{},\"dropped\":{}",
-            TRACE_SCHEMA_VERSION,
-            json_string(&header.scenario),
-            json_string(&header.policy),
-            header.seed,
-            self.dropped_oldest
-        );
+        let mut out = String::from("{\"schema\":\"smartmem-trace\",\"version\":");
+        TRACE_SCHEMA_VERSION.write(&mut out);
+        header.scenario.write_field(",\"scenario\":", &mut out);
+        header.policy.write_field(",\"policy\":", &mut out);
+        header.seed.write_field(",\"seed\":", &mut out);
+        self.dropped_oldest.write_field(",\"dropped\":", &mut out);
         let filter_label = filter.map(|subs| {
             subs.iter()
                 .map(|s| s.as_str())
                 .collect::<Vec<_>>()
                 .join(",")
         });
-        if let Some(label) = &filter_label {
-            let _ = write!(out, ",\"filter\":{}", json_string(label));
-        }
+        filter_label.write_field(",\"filter\":", &mut out);
         out.push_str("}\n");
         for ev in &self.events {
             if let Some(subs) = filter {
-                if !subs.contains(&ev.subsystem) {
+                if !subs.contains(&ev.subsystem()) {
                     continue;
                 }
             }
@@ -1220,10 +1155,10 @@ impl TraceData {
             .next()
             .ok_or_else(|| "empty trace: missing header line".to_string())?;
         let header = parse_json_object(first).map_err(|e| format!("header: {e}"))?;
-        if get_str(&header, "schema")? != "smartmem-trace" {
+        if field::<String>(&header, "schema")? != "smartmem-trace" {
             return Err("header: not a smartmem-trace file".into());
         }
-        let version = get_u64(&header, "version")? as u32;
+        let version: u32 = field(&header, "version")?;
         if version != TRACE_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported trace schema version {version} (expected {TRACE_SCHEMA_VERSION})"
@@ -1239,14 +1174,11 @@ impl TraceData {
         }
         Ok(ParsedTrace {
             version,
-            scenario: get_str(&header, "scenario")?.to_string(),
-            policy: get_str(&header, "policy")?.to_string(),
-            seed: get_u64(&header, "seed")?,
-            dropped_oldest: get_u64(&header, "dropped")?,
-            filter: find(&header, "filter").map(|v| match v {
-                Json::S(s) => s.clone(),
-                other => format!("{other:?}"),
-            }),
+            scenario: field(&header, "scenario")?,
+            policy: field(&header, "policy")?,
+            seed: field(&header, "seed")?,
+            dropped_oldest: field(&header, "dropped")?,
+            filter: field(&header, "filter")?,
             events,
         })
     }
@@ -1256,204 +1188,163 @@ impl TraceData {
 // JSONL writing
 // ---------------------------------------------------------------------------
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// One field type of the JSONL form: how a value is written and read back.
+pub(crate) trait Wire: Sized {
+    /// Append the value.
+    fn write(&self, out: &mut String);
+
+    /// Read the value back; `None` when `v` has the wrong shape.
+    fn read(v: &Json) -> Option<Self>;
+
+    /// Append `key` (a `,"name":` prefix) and the value. Optional fields
+    /// write nothing when absent.
+    fn write_field(&self, key: &str, out: &mut String) {
+        out.push_str(key);
+        self.write(out);
+    }
+
+    /// Read a field that may be absent (`None`).
+    fn read_field(v: Option<&Json>) -> Option<Self> {
+        Self::read(v?)
+    }
+}
+
+impl Wire for u64 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read(v: &Json) -> Option<Self> {
+        match v {
+            Json::U(n) => Some(*n),
+            _ => None,
         }
     }
-    out.push('"');
-    out
+}
+
+impl Wire for u32 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read(v: &Json) -> Option<Self> {
+        u32::try_from(u64::read(v)?).ok()
+    }
+}
+
+impl Wire for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn read(v: &Json) -> Option<Self> {
+        match v {
+            Json::B(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+impl Wire for String {
+    fn write(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn read(v: &Json) -> Option<Self> {
+        match v {
+            Json::S(s) => Some(s.clone()),
+            _ => None,
+        }
+    }
+}
+
+/// A pair is a two-element array.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        self.0.write(out);
+        out.push(',');
+        self.1.write(out);
+        out.push(']');
+    }
+
+    fn read(v: &Json) -> Option<Self> {
+        match v {
+            Json::A(items) => match items.as_slice() {
+                [a, b] => Some((A::read(a)?, B::read(b)?)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write(out);
+        }
+        out.push(']');
+    }
+
+    fn read(v: &Json) -> Option<Self> {
+        match v {
+            Json::A(items) => items.iter().map(T::read).collect(),
+            _ => None,
+        }
+    }
+}
+
+/// An optional field is left out when `None`.
+impl<T: Wire> Wire for Option<T> {
+    fn write(&self, out: &mut String) {
+        if let Some(v) = self {
+            v.write(out);
+        }
+    }
+
+    fn read(v: &Json) -> Option<Self> {
+        T::read(v).map(Some)
+    }
+
+    fn write_field(&self, key: &str, out: &mut String) {
+        if let Some(v) = self {
+            v.write_field(key, out);
+        }
+    }
+
+    fn read_field(v: Option<&Json>) -> Option<Self> {
+        match v {
+            Some(v) => Self::read(v),
+            None => Some(None),
+        }
+    }
 }
 
 fn write_event(out: &mut String, ev: &TraceEvent) {
-    let _ = write!(out, "{{\"t\":{}", ev.at.as_nanos());
-    if let Some(vm) = ev.vm {
-        let _ = write!(out, ",\"vm\":{vm}");
-    }
-    let _ = write!(out, ",\"sub\":\"{}\"", ev.subsystem.as_str());
-    match &ev.payload {
-        Payload::Put {
-            pool,
-            result,
-            used,
-            target,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"put\",\"pool\":{pool},\"res\":\"{}\",\"used\":{used},\"target\":{target}",
-                result.as_str()
-            );
-        }
-        Payload::Evict { pool } => {
-            let _ = write!(out, ",\"ev\":\"evict\",\"pool\":{pool}");
-        }
-        Payload::Get { pool, hit, freed } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"get\",\"pool\":{pool},\"hit\":{hit},\"freed\":{freed}"
-            );
-        }
-        Payload::Flush { pool, pages } => {
-            let _ = write!(out, ",\"ev\":\"flush\",\"pool\":{pool},\"pages\":{pages}");
-        }
-        Payload::PoolCreate { pool, ephemeral } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"pool_create\",\"pool\":{pool},\"ephemeral\":{ephemeral}"
-            );
-        }
-        Payload::PoolDestroy { pool, pages } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"pool_destroy\",\"pool\":{pool},\"pages\":{pages}"
-            );
-        }
-        Payload::Reclaim { pool, pages } => {
-            let _ = write!(out, ",\"ev\":\"reclaim\",\"pool\":{pool},\"pages\":{pages}");
-        }
-        Payload::TargetsApplied {
-            seq,
-            entries,
-            applied,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"targets_applied\",\"seq\":{seq},\"entries\":{entries},\"applied\":{applied}"
-            );
-        }
-        Payload::VirqSample { seq, fate } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"sample\",\"seq\":{seq},\"fate\":\"{}\"",
-                sample_fate_str(*fate)
-            );
-        }
-        Payload::IntervalClose { seq, stale, ok } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"interval\",\"seq\":{seq},\"stale\":{stale},\"ok\":{ok}"
-            );
-        }
-        Payload::NetlinkStats { seq, fate } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"stats_msg\",\"seq\":{seq},\"fate\":\"{}\"",
-                netlink_fate_str(*fate)
-            );
-        }
-        Payload::RelayEnqueue { seq, depth } => {
-            let _ = write!(out, ",\"ev\":\"enqueue\",\"seq\":{seq},\"depth\":{depth}");
-        }
-        Payload::RelayShed { seq } => {
-            let _ = write!(out, ",\"ev\":\"shed\",\"seq\":{seq}");
-        }
-        Payload::RelayPush {
-            seq,
-            attempt,
-            outcome,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"push\",\"seq\":{seq},\"attempt\":{attempt},\"outcome\":\"{}\"",
-                outcome.as_str()
-            );
-        }
-        Payload::MmDecision {
-            seq_in,
-            push_seq,
-            sent,
-            warming,
-            targets,
-            rescale,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"decision\",\"seq_in\":{seq_in},\"push_seq\":{push_seq},\"sent\":{sent},\"warming\":{warming},\"targets\":["
-            );
-            for (i, (vm, tgt)) in targets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{vm},{tgt}]");
-            }
-            out.push(']');
-            if let Some((sum, cap)) = rescale {
-                let _ = write!(out, ",\"rescale\":[{sum},{cap}]");
-            }
-        }
-        Payload::MmDiscard { seq_in } => {
-            let _ = write!(out, ",\"ev\":\"discard\",\"seq_in\":{seq_in}");
-        }
-        Payload::MmCrash { cycle } => {
-            let _ = write!(out, ",\"ev\":\"crash\",\"cycle\":{cycle}");
-        }
-        Payload::MmRestart => {
-            out.push_str(",\"ev\":\"restart\"");
-        }
-        Payload::Fault { kind } => {
-            let _ = write!(out, ",\"ev\":\"fault\",\"kind\":\"{}\"", kind.as_str());
-        }
-        Payload::DataPurge { pool, pages } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"data_purge\",\"pool\":{pool},\"pages\":{pages}"
-            );
-        }
-        Payload::Scrub {
-            checked,
-            corrupt,
-            quarantined,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"scrub\",\"checked\":{checked},\"corrupt\":{corrupt},\"quarantined\":{quarantined}"
-            );
-        }
-        Payload::FarGet { pool } => {
-            let _ = write!(out, ",\"ev\":\"far_get\",\"pool\":{pool}");
-        }
-        Payload::FarFlush { pool, pages } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"far_flush\",\"pool\":{pool},\"pages\":{pages}"
-            );
-        }
-        Payload::MigrateOut {
-            pages,
-            far,
-            purged,
-            ram,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"migrate_out\",\"pages\":{pages},\"far\":{far},\"purged\":{purged},\"ram\":{ram}"
-            );
-        }
-        Payload::MigrateIn {
-            pages,
-            far,
-            spilled,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"migrate_in\",\"pages\":{pages},\"far\":{far},\"spilled\":{spilled}"
-            );
-        }
-        Payload::MigrateDone { downtime } => {
-            let _ = write!(out, ",\"ev\":\"migrate_done\",\"downtime\":{downtime}");
-        }
-    }
+    out.push_str("{\"t\":");
+    ev.at.as_nanos().write(out);
+    ev.vm.write_field(",\"vm\":", out);
+    ev.subsystem().write_field(",\"sub\":", out);
+    ev.payload.write(out);
     out.push('}');
 }
 
@@ -1463,7 +1354,7 @@ fn write_event(out: &mut String, ev: &TraceEvent) {
 
 /// Minimal JSON value for the flat objects the trace format uses.
 #[derive(Debug, Clone, PartialEq)]
-enum Json {
+pub(crate) enum Json {
     U(u64),
     B(bool),
     S(String),
@@ -1647,203 +1538,28 @@ fn parse_json_object(line: &str) -> Result<Vec<(String, Json)>, String> {
     }
 }
 
-fn find<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
-    match find(fields, key) {
-        Some(Json::U(n)) => Ok(*n),
-        Some(other) => Err(format!("field '{key}' is not an integer: {other:?}")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
-fn get_bool(fields: &[(String, Json)], key: &str) -> Result<bool, String> {
-    match find(fields, key) {
-        Some(Json::B(b)) => Ok(*b),
-        Some(other) => Err(format!("field '{key}' is not a bool: {other:?}")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
-fn get_str<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a str, String> {
-    match find(fields, key) {
-        Some(Json::S(s)) => Ok(s),
-        Some(other) => Err(format!("field '{key}' is not a string: {other:?}")),
-        None => Err(format!("missing field '{key}'")),
-    }
+/// Read field `key` of a parsed object.
+fn field<T: Wire>(obj: &[(String, Json)], key: &str) -> Result<T, String> {
+    let v = obj.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    T::read_field(v).ok_or_else(|| match v {
+        Some(v) => format!("field '{key}' is malformed: {v:?}"),
+        None => format!("missing field '{key}'"),
+    })
 }
 
 fn event_from_fields(obj: &[(String, Json)]) -> Result<TraceEvent, String> {
-    let at = SimTime(get_u64(obj, "t")?);
-    let vm = match find(obj, "vm") {
-        Some(Json::U(n)) => Some(*n as u32),
-        Some(other) => return Err(format!("field 'vm' is not an integer: {other:?}")),
-        None => None,
-    };
-    let sub = get_str(obj, "sub")?;
-    let subsystem =
-        Subsystem::from_label(sub).ok_or_else(|| format!("unknown subsystem '{sub}'"))?;
-    let ev = get_str(obj, "ev")?;
-    let payload = match ev {
-        "put" => {
-            let res = get_str(obj, "res")?;
-            Payload::Put {
-                pool: get_u64(obj, "pool")? as u32,
-                result: PutResult::from_str(res)
-                    .ok_or_else(|| format!("unknown put result '{res}'"))?,
-                used: get_u64(obj, "used")?,
-                target: get_u64(obj, "target")?,
-            }
-        }
-        "evict" => Payload::Evict {
-            pool: get_u64(obj, "pool")? as u32,
-        },
-        "get" => Payload::Get {
-            pool: get_u64(obj, "pool")? as u32,
-            hit: get_bool(obj, "hit")?,
-            freed: get_bool(obj, "freed")?,
-        },
-        "flush" => Payload::Flush {
-            pool: get_u64(obj, "pool")? as u32,
-            pages: get_u64(obj, "pages")?,
-        },
-        "pool_create" => Payload::PoolCreate {
-            pool: get_u64(obj, "pool")? as u32,
-            ephemeral: get_bool(obj, "ephemeral")?,
-        },
-        "pool_destroy" => Payload::PoolDestroy {
-            pool: get_u64(obj, "pool")? as u32,
-            pages: get_u64(obj, "pages")?,
-        },
-        "reclaim" => Payload::Reclaim {
-            pool: get_u64(obj, "pool")? as u32,
-            pages: get_u64(obj, "pages")?,
-        },
-        "targets_applied" => Payload::TargetsApplied {
-            seq: get_u64(obj, "seq")?,
-            entries: get_u64(obj, "entries")? as u32,
-            applied: get_bool(obj, "applied")?,
-        },
-        "sample" => {
-            let fate = get_str(obj, "fate")?;
-            Payload::VirqSample {
-                seq: get_u64(obj, "seq")?,
-                fate: sample_fate_from_str(fate)
-                    .ok_or_else(|| format!("unknown sample fate '{fate}'"))?,
-            }
-        }
-        "interval" => Payload::IntervalClose {
-            seq: get_u64(obj, "seq")?,
-            stale: get_bool(obj, "stale")?,
-            ok: get_bool(obj, "ok")?,
-        },
-        "stats_msg" => {
-            let fate = get_str(obj, "fate")?;
-            Payload::NetlinkStats {
-                seq: get_u64(obj, "seq")?,
-                fate: netlink_fate_from_str(fate)
-                    .ok_or_else(|| format!("unknown netlink fate '{fate}'"))?,
-            }
-        }
-        "enqueue" => Payload::RelayEnqueue {
-            seq: get_u64(obj, "seq")?,
-            depth: get_u64(obj, "depth")?,
-        },
-        "shed" => Payload::RelayShed {
-            seq: get_u64(obj, "seq")?,
-        },
-        "push" => {
-            let outcome = get_str(obj, "outcome")?;
-            Payload::RelayPush {
-                seq: get_u64(obj, "seq")?,
-                attempt: get_u64(obj, "attempt")? as u32,
-                outcome: PushOutcome::from_str(outcome)
-                    .ok_or_else(|| format!("unknown push outcome '{outcome}'"))?,
-            }
-        }
-        "decision" => {
-            let targets = match find(obj, "targets") {
-                Some(Json::A(items)) => items
-                    .iter()
-                    .map(|item| match item {
-                        Json::A(pair) => match pair.as_slice() {
-                            [Json::U(vm), Json::U(tgt)] => Ok((*vm as u32, *tgt)),
-                            _ => Err("target entry is not a [vm, target] pair".to_string()),
-                        },
-                        _ => Err("target entry is not an array".to_string()),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err("missing or malformed 'targets'".into()),
-            };
-            let rescale = match find(obj, "rescale") {
-                Some(Json::A(pair)) => match pair.as_slice() {
-                    [Json::U(sum), Json::U(cap)] => Some((*sum, *cap)),
-                    _ => return Err("'rescale' is not a [sum, cap] pair".into()),
-                },
-                Some(_) => return Err("'rescale' is not an array".into()),
-                None => None,
-            };
-            Payload::MmDecision {
-                seq_in: get_u64(obj, "seq_in")?,
-                push_seq: get_u64(obj, "push_seq")?,
-                sent: get_bool(obj, "sent")?,
-                warming: get_bool(obj, "warming")?,
-                targets,
-                rescale,
-            }
-        }
-        "discard" => Payload::MmDiscard {
-            seq_in: get_u64(obj, "seq_in")?,
-        },
-        "crash" => Payload::MmCrash {
-            cycle: get_u64(obj, "cycle")?,
-        },
-        "restart" => Payload::MmRestart,
-        "fault" => {
-            let kind = get_str(obj, "kind")?;
-            Payload::Fault {
-                kind: FaultKind::from_str(kind)
-                    .ok_or_else(|| format!("unknown fault kind '{kind}'"))?,
-            }
-        }
-        "data_purge" => Payload::DataPurge {
-            pool: get_u64(obj, "pool")? as u32,
-            pages: get_u64(obj, "pages")?,
-        },
-        "scrub" => Payload::Scrub {
-            checked: get_u64(obj, "checked")?,
-            corrupt: get_u64(obj, "corrupt")?,
-            quarantined: get_u64(obj, "quarantined")?,
-        },
-        "far_get" => Payload::FarGet {
-            pool: get_u64(obj, "pool")? as u32,
-        },
-        "far_flush" => Payload::FarFlush {
-            pool: get_u64(obj, "pool")? as u32,
-            pages: get_u64(obj, "pages")?,
-        },
-        "migrate_out" => Payload::MigrateOut {
-            pages: get_u64(obj, "pages")?,
-            far: get_u64(obj, "far")?,
-            purged: get_u64(obj, "purged")?,
-            ram: get_u64(obj, "ram")?,
-        },
-        "migrate_in" => Payload::MigrateIn {
-            pages: get_u64(obj, "pages")?,
-            far: get_u64(obj, "far")?,
-            spilled: get_u64(obj, "spilled")?,
-        },
-        "migrate_done" => Payload::MigrateDone {
-            downtime: get_u64(obj, "downtime")?,
-        },
-        other => return Err(format!("unknown event kind '{other}'")),
-    };
+    let ev: String = field(obj, "ev")?;
+    let payload = Payload::read(&ev, obj)?;
+    let sub: String = field(obj, "sub")?;
+    let want = payload.subsystem().as_str();
+    if sub != want {
+        return Err(format!(
+            "event '{ev}' belongs to subsystem '{want}', not '{sub}'"
+        ));
+    }
     Ok(TraceEvent {
-        at,
-        vm,
-        subsystem,
+        at: SimTime(field(obj, "t")?),
+        vm: field(obj, "vm")?,
         payload,
     })
 }
@@ -1877,11 +1593,10 @@ pub fn parse_subsystem_filter(list: &str) -> Result<Vec<Subsystem>, String> {
 mod tests {
     use super::*;
 
-    fn sample_events() -> Vec<(Option<u32>, Subsystem, Payload)> {
+    fn sample_events() -> Vec<(Option<u32>, Payload)> {
         vec![
             (
                 Some(1),
-                Subsystem::Tmem,
                 Payload::Put {
                     pool: 0,
                     result: PutResult::Stored,
@@ -1891,7 +1606,6 @@ mod tests {
             ),
             (
                 Some(1),
-                Subsystem::Tmem,
                 Payload::Put {
                     pool: 0,
                     result: PutResult::RejectTarget,
@@ -1901,7 +1615,6 @@ mod tests {
             ),
             (
                 Some(2),
-                Subsystem::Tmem,
                 Payload::Get {
                     pool: 1,
                     hit: true,
@@ -1910,20 +1623,14 @@ mod tests {
             ),
             (
                 None,
-                Subsystem::Virq,
                 Payload::VirqSample {
                     seq: 1,
                     fate: SampleFate::Drop,
                 },
             ),
+            (None, Payload::RelayEnqueue { seq: 1, depth: 1 }),
             (
                 None,
-                Subsystem::Relay,
-                Payload::RelayEnqueue { seq: 1, depth: 1 },
-            ),
-            (
-                None,
-                Subsystem::Relay,
                 Payload::RelayPush {
                     seq: 1,
                     attempt: 2,
@@ -1932,7 +1639,6 @@ mod tests {
             ),
             (
                 None,
-                Subsystem::Mm,
                 Payload::MmDecision {
                     seq_in: 1,
                     push_seq: 1,
@@ -1944,15 +1650,13 @@ mod tests {
             ),
             (
                 None,
-                Subsystem::Fault,
                 Payload::Fault {
                     kind: FaultKind::SampleDrop,
                 },
             ),
-            (None, Subsystem::Mm, Payload::MmRestart),
+            (None, Payload::MmRestart),
             (
                 Some(1),
-                Subsystem::Tmem,
                 Payload::Put {
                     pool: 0,
                     result: PutResult::RejectIo,
@@ -1960,14 +1664,9 @@ mod tests {
                     target: 100,
                 },
             ),
-            (
-                Some(2),
-                Subsystem::Tmem,
-                Payload::DataPurge { pool: 1, pages: 3 },
-            ),
+            (Some(2), Payload::DataPurge { pool: 1, pages: 3 }),
             (
                 None,
-                Subsystem::Tmem,
                 Payload::Scrub {
                     checked: 64,
                     corrupt: 2,
@@ -1976,7 +1675,6 @@ mod tests {
             ),
             (
                 Some(1),
-                Subsystem::Fault,
                 Payload::Fault {
                     kind: FaultKind::CorruptDetected,
                 },
@@ -1986,9 +1684,9 @@ mod tests {
 
     fn record_all() -> TraceData {
         let tracer = Tracer::new(Recorder::new(1024, Some(CostModel::hdd())));
-        for (i, (vm, sub, payload)) in sample_events().into_iter().enumerate() {
+        for (i, (vm, payload)) in sample_events().into_iter().enumerate() {
             tracer.set_now(SimTime(i as u64 * 1_000));
-            tracer.emit(|| (vm, sub, payload));
+            tracer.emit(|| (vm, payload));
         }
         tracer.finish().expect("enabled tracer yields data")
     }
@@ -2029,14 +1727,17 @@ mod tests {
         let parsed = TraceData::parse_jsonl(&jsonl).unwrap();
         assert_eq!(parsed.filter.as_deref(), Some("tmem"));
         assert_eq!(parsed.events.len(), 6);
-        assert!(parsed.events.iter().all(|e| e.subsystem == Subsystem::Tmem));
+        assert!(parsed
+            .events
+            .iter()
+            .all(|e| e.subsystem() == Subsystem::Tmem));
     }
 
     #[test]
     fn ring_drops_oldest_at_capacity() {
         let tracer = Tracer::new(Recorder::new(2, None));
         for seq in 0..5 {
-            tracer.emit(|| (None, Subsystem::Virq, Payload::RelayShed { seq }));
+            tracer.emit(|| (None, Payload::RelayShed { seq }));
         }
         let data = tracer.finish().unwrap();
         assert_eq!(data.dropped_oldest, 3);
@@ -2095,8 +1796,22 @@ mod tests {
     #[test]
     fn strings_with_escapes_survive() {
         let s = "a \"quoted\" name\\with\nweird\tchars";
-        let json = json_string(s);
+        let mut json = String::new();
+        s.to_string().write(&mut json);
         let mut p = Parser::new(&json);
         assert_eq!(p.string().unwrap(), s);
+    }
+
+    #[test]
+    fn parser_rejects_a_subsystem_other_than_the_kinds() {
+        let header = "{\"schema\":\"smartmem-trace\",\"version\":1,\"scenario\":\"s\",\"policy\":\"p\",\"seed\":0,\"dropped\":0}";
+        let put = |sub: &str| {
+            format!(
+                "{header}\n{{\"t\":0,\"vm\":1,\"sub\":\"{sub}\",\"ev\":\"put\",\"pool\":0,\"res\":\"stored\",\"used\":1,\"target\":2}}\n"
+            )
+        };
+        assert!(TraceData::parse_jsonl(&put("tmem")).is_ok());
+        let err = TraceData::parse_jsonl(&put("mm")).unwrap_err();
+        assert!(err.contains("'tmem'"), "{err}");
     }
 }

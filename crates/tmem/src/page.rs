@@ -3,8 +3,8 @@
 //! The backend is generic over the payload type it stores per page. Two
 //! implementations are provided:
 //!
-//! * [`PageBuf`] — a real 4 KiB byte buffer (cheaply clonable via
-//!   [`bytes::Bytes`]). Unit, integration and property tests use it to prove
+//! * [`PageBuf`] — a real 4 KiB byte buffer (cheaply clonable: an
+//!   `Arc<[u8]>`). Unit, integration and property tests use it to prove
 //!   byte-exact round-trips through put/get.
 //! * [`Fingerprint`] — a 64-bit content fingerprint. Scenario-scale
 //!   simulations store gigabytes of simulated pages; carrying real buffers
@@ -12,8 +12,8 @@
 //!   still catches any lost, duplicated or mixed-up page (the guest verifies
 //!   the fingerprint of every page it gets back).
 
-use bytes::Bytes;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Size of one page, in bytes. x86 base pages, as in the paper's testbed.
 pub const PAGE_SIZE: usize = 4096;
@@ -38,12 +38,12 @@ impl<T: Clone + Eq + Hash + std::fmt::Debug> PagePayload for T {}
 
 /// A real page of data.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PageBuf(Bytes);
+pub struct PageBuf(Arc<[u8]>);
 
 impl PageBuf {
     /// A zero-filled page.
     pub fn zeroed() -> Self {
-        PageBuf(Bytes::from_static(&[0u8; PAGE_SIZE]))
+        Self::filled(0)
     }
 
     /// Build a page from exactly [`PAGE_SIZE`] bytes.
@@ -51,18 +51,18 @@ impl PageBuf {
     /// # Panics
     /// Panics if `data` is not exactly one page long — a short "page" would
     /// silently corrupt a guest, so this is a programming error.
-    pub fn from_bytes(data: Bytes) -> Self {
+    pub fn from_bytes(data: Vec<u8>) -> Self {
         assert_eq!(
             data.len(),
             PAGE_SIZE,
             "page payload must be {PAGE_SIZE} bytes"
         );
-        PageBuf(data)
+        PageBuf(data.into())
     }
 
     /// A page filled with a repeating byte pattern (test helper).
     pub fn filled(byte: u8) -> Self {
-        PageBuf(Bytes::from(vec![byte; PAGE_SIZE]))
+        PageBuf(vec![byte; PAGE_SIZE].into())
     }
 
     /// Borrow the page contents.
@@ -219,7 +219,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be 4096 bytes")]
     fn short_page_panics() {
-        PageBuf::from_bytes(Bytes::from_static(b"short"));
+        PageBuf::from_bytes(b"short".to_vec());
     }
 
     #[test]

@@ -18,14 +18,14 @@
 //! cannot acquire more pages until it releases enough or its target rises.
 //! Exclusive gets and flushes release pages; additionally the hypervisor
 //! "can reclaim tmem pages from a VM very slowly" (§III-B) — implemented as
-//! [`Hypervisor::reclaim_over_target`], a per-interval trickle of a VM's
+//! [`Hypervisor::reclaim_over_target_into`], a per-interval trickle of a VM's
 //! oldest persistent pages to its swap device while it exceeds its target.
 
 use crate::host::{FarConfig, FarTier};
 use crate::vm::VmConfig;
 use sim_core::faults::{DataFaultInjector, DataFaultLedger, FaultProfile, PutFate};
 use sim_core::time::SimTime;
-use sim_core::trace::{FaultKind, Payload, PutResult, Subsystem, Tracer};
+use sim_core::trace::{FaultKind, Payload, PutResult, Tracer};
 use std::collections::BTreeMap;
 use tmem::backend::{PoolKind, PutOutcome, ScrubReport, TmemBackend};
 use tmem::error::{ReturnCode, TmemError};
@@ -167,7 +167,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Fault,
                     Payload::Fault {
                         kind: FaultKind::BrownoutTick,
                     },
@@ -201,7 +200,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     vm,
-                    Subsystem::Fault,
                     Payload::Fault {
                         kind: FaultKind::CorruptDetected,
                     },
@@ -222,7 +220,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 Some(vm.0),
-                Subsystem::Fault,
                 Payload::Fault {
                     kind: FaultKind::CorruptRecovered,
                 },
@@ -273,7 +270,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 Some(vm.0),
-                Subsystem::Tmem,
                 Payload::PoolCreate {
                     pool: pool.0,
                     ephemeral: kind == PoolKind::Ephemeral,
@@ -322,7 +318,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     Some(owner.0),
-                    Subsystem::Tmem,
                     Payload::Put {
                         pool: pool.0,
                         result: PutResult::RejectTarget,
@@ -344,7 +339,6 @@ impl<P: PagePayload> Hypervisor<P> {
                     self.tracer.emit(|| {
                         (
                             Some(owner.0),
-                            Subsystem::Fault,
                             Payload::Fault {
                                 kind: FaultKind::BrownoutReject,
                             },
@@ -353,7 +347,6 @@ impl<P: PagePayload> Hypervisor<P> {
                     self.tracer.emit(|| {
                         (
                             Some(owner.0),
-                            Subsystem::Tmem,
                             Payload::Put {
                                 pool: pool.0,
                                 result: PutResult::RejectIo,
@@ -378,7 +371,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     Some(owner.0),
-                    Subsystem::Fault,
                     Payload::Fault {
                         kind: FaultKind::PutIoFail,
                     },
@@ -387,7 +379,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     Some(owner.0),
-                    Subsystem::Tmem,
                     Payload::Put {
                         pool: pool.0,
                         result: PutResult::RejectIo,
@@ -422,7 +413,6 @@ impl<P: PagePayload> Hypervisor<P> {
                         self.tracer.emit(|| {
                             (
                                 Some(victim_owner.0),
-                                Subsystem::Tmem,
                                 Payload::Evict {
                                     pool: victim.pool.0,
                                 },
@@ -439,7 +429,6 @@ impl<P: PagePayload> Hypervisor<P> {
                     };
                     (
                         Some(owner.0),
-                        Subsystem::Tmem,
                         Payload::Put {
                             pool: pool.0,
                             result,
@@ -473,7 +462,6 @@ impl<P: PagePayload> Hypervisor<P> {
                         self.tracer.emit(|| {
                             (
                                 Some(owner.0),
-                                Subsystem::Tmem,
                                 Payload::Put {
                                     pool: pool.0,
                                     result: PutResult::StoredFar,
@@ -488,7 +476,6 @@ impl<P: PagePayload> Hypervisor<P> {
                 self.tracer.emit(|| {
                     (
                         Some(owner.0),
-                        Subsystem::Tmem,
                         Payload::Put {
                             pool: pool.0,
                             result: PutResult::RejectCapacity,
@@ -533,7 +520,7 @@ impl<P: PagePayload> Hypervisor<P> {
                         d.ledger_mut().torn_writes_injected += 1;
                     }
                     self.tracer
-                        .emit(|| (Some(owner.0), Subsystem::Fault, Payload::Fault { kind }));
+                        .emit(|| (Some(owner.0), Payload::Fault { kind }));
                 }
             }
             PutFate::Lose => {
@@ -550,7 +537,6 @@ impl<P: PagePayload> Hypervisor<P> {
                     self.tracer.emit(|| {
                         (
                             Some(owner.0),
-                            Subsystem::Fault,
                             Payload::Fault {
                                 kind: FaultKind::EphemeralLoss,
                             },
@@ -559,7 +545,6 @@ impl<P: PagePayload> Hypervisor<P> {
                     self.tracer.emit(|| {
                         (
                             Some(owner.0),
-                            Subsystem::Tmem,
                             Payload::DataPurge {
                                 pool: pool.0,
                                 pages: 1,
@@ -629,7 +614,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 Some(owner.0),
-                Subsystem::Tmem,
                 Payload::Get {
                     pool: pool.0,
                     hit,
@@ -638,13 +622,8 @@ impl<P: PagePayload> Hypervisor<P> {
             )
         });
         if far_hit {
-            self.tracer.emit(|| {
-                (
-                    Some(owner.0),
-                    Subsystem::Tmem,
-                    Payload::FarGet { pool: pool.0 },
-                )
-            });
+            self.tracer
+                .emit(|| (Some(owner.0), Payload::FarGet { pool: pool.0 }));
         }
         if matches!(out, GetOutcome::Corrupt) {
             self.on_corrupt_get(pool, owner, kind);
@@ -667,7 +646,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     Some(owner.0),
-                    Subsystem::Tmem,
                     Payload::DataPurge {
                         pool: pool.0,
                         pages: 1,
@@ -677,7 +655,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     Some(owner.0),
-                    Subsystem::Fault,
                     Payload::Fault {
                         kind: FaultKind::CorruptRecovered,
                     },
@@ -709,7 +686,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 Some(owner.0),
-                Subsystem::Tmem,
                 Payload::Flush {
                     pool: pool.0,
                     pages: removed as u64,
@@ -724,7 +700,6 @@ impl<P: PagePayload> Hypervisor<P> {
                 self.tracer.emit(|| {
                     (
                         Some(owner.0),
-                        Subsystem::Tmem,
                         Payload::FarFlush {
                             pool: pool.0,
                             pages: 1,
@@ -754,7 +729,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 Some(owner.0),
-                Subsystem::Tmem,
                 Payload::Flush {
                     pool: pool.0,
                     pages: freed,
@@ -767,7 +741,6 @@ impl<P: PagePayload> Hypervisor<P> {
                 self.tracer.emit(|| {
                     (
                         Some(owner.0),
-                        Subsystem::Tmem,
                         Payload::FarFlush {
                             pool: pool.0,
                             pages: far_freed,
@@ -792,7 +765,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 Some(owner.0),
-                Subsystem::Tmem,
                 Payload::PoolDestroy {
                     pool: pool.0,
                     pages: freed,
@@ -805,7 +777,6 @@ impl<P: PagePayload> Hypervisor<P> {
                 self.tracer.emit(|| {
                     (
                         Some(owner.0),
-                        Subsystem::Tmem,
                         Payload::FarFlush {
                             pool: pool.0,
                             pages: far_freed,
@@ -821,22 +792,11 @@ impl<P: PagePayload> Hypervisor<P> {
     /// Slow reclaim (paper §III-B: "the hypervisor can reclaim tmem pages
     /// from a VM very slowly"): if `vm` uses more tmem than its target,
     /// remove up to `max_pages` of its **oldest** persistent pages and
-    /// return their keys. The caller (runner) writes them to the VM's swap
-    /// device and informs the guest kernel.
-    pub fn reclaim_over_target(
-        &mut self,
-        pool: PoolId,
-        max_pages: u64,
-    ) -> Vec<(ObjectId, PageIndex)> {
-        let mut out = Vec::new();
-        self.reclaim_over_target_into(pool, max_pages, &mut out);
-        out
-    }
-
-    /// [`Hypervisor::reclaim_over_target`] appending into a caller-owned
-    /// buffer. The runner calls this once per VM per sampling interval, so
-    /// at fleet scale (64+ VMs) reusing one buffer replaces thousands of
-    /// short-lived allocations per simulated second.
+    /// append their keys to `out`. The caller (runner) writes them to the
+    /// VM's swap device and informs the guest kernel. The runner calls this
+    /// once per VM per sampling interval, so at fleet scale (64+ VMs)
+    /// reusing one buffer replaces thousands of short-lived allocations per
+    /// simulated second.
     pub fn reclaim_over_target_into(
         &mut self,
         pool: PoolId,
@@ -869,7 +829,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     Some(owner.0),
-                    Subsystem::Tmem,
                     Payload::Reclaim {
                         pool: pool.0,
                         pages,
@@ -884,7 +843,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     Some(owner.0),
-                    Subsystem::Tmem,
                     Payload::DataPurge {
                         pool: pool.0,
                         pages: dropped,
@@ -898,19 +856,10 @@ impl<P: PagePayload> Hypervisor<P> {
     /// Install new targets from the MM (`SetTargets` hypercall). Stores them
     /// "and keeps them until the MM modifies them" (Algorithm 1 line 3).
     ///
-    /// Unversioned convenience wrapper: stamps the push with the next
-    /// sequence number, so it always applies. The relay path uses
-    /// [`Hypervisor::apply_targets`] with the MM's own sequence numbers.
-    pub fn set_targets(&mut self, targets: &[MmTarget]) {
-        let seq = self.last_target_seq + 1;
-        self.apply_targets(seq, targets);
-    }
-
-    /// Versioned, idempotent `SetTargets` application. A push whose `seq` is
-    /// at or below the last applied one is a duplicate or a reordered stale
-    /// message and is ignored (returns `false`) — re-applying the same push
-    /// twice must be a no-op, and an old vector must never overwrite a newer
-    /// one. Applying targets also counts as proof of MM liveness
+    /// Versioned and idempotent: a push whose `seq` is at or below the last
+    /// applied one is a duplicate or a reordered stale message and is
+    /// ignored (returns `false`) — re-applying the same push twice must be a
+    /// no-op, and an old vector must never overwrite a newer one. Applying targets also counts as proof of MM liveness
     /// (refreshes the staleness TTL). Per-VM targets above node capacity
     /// are clamped (no policy can meaningfully target more than the pool).
     pub fn apply_targets(&mut self, seq: u64, targets: &[MmTarget]) -> bool {
@@ -920,7 +869,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Hypervisor,
                     Payload::TargetsApplied {
                         seq,
                         entries: targets.len() as u32,
@@ -941,7 +889,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 None,
-                Subsystem::Hypervisor,
                 Payload::TargetsApplied {
                     seq,
                     entries: targets.len() as u32,
@@ -1060,13 +1007,8 @@ impl<P: PagePayload> Hypervisor<P> {
                 v.tmem_used = self.backend.used_by(q.owner);
             }
             let (owner, pool, pages) = (q.owner.0, q.pool.0, q.pages);
-            self.tracer.emit(|| {
-                (
-                    Some(owner),
-                    Subsystem::Tmem,
-                    Payload::DataPurge { pool, pages },
-                )
-            });
+            self.tracer
+                .emit(|| (Some(owner), Payload::DataPurge { pool, pages }));
         }
         if let Some(d) = self.data_faults.as_mut() {
             let l = d.ledger_mut();
@@ -1083,7 +1025,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 None,
-                Subsystem::Tmem,
                 Payload::Scrub {
                     checked,
                     corrupt,
@@ -1163,7 +1104,6 @@ impl<P: PagePayload> Hypervisor<P> {
                         self.tracer.emit(|| {
                             (
                                 Some(victim_owner.0),
-                                Subsystem::Tmem,
                                 Payload::Evict {
                                     pool: victim.pool.0,
                                 },
@@ -1315,10 +1255,13 @@ mod tests {
             h.put(pool, ObjectId(0), i, fp(i as u64)).unwrap();
         }
         // MM lowers the target below current use.
-        h.set_targets(&[MmTarget {
-            vm_id: VmId(1),
-            mm_target: 2,
-        }]);
+        h.apply_targets(
+            1,
+            &[MmTarget {
+                vm_id: VmId(1),
+                mm_target: 2,
+            }],
+        );
         assert_eq!(h.tmem_used_by(VmId(1)), 5, "existing pages are kept");
         assert!(h.put(pool, ObjectId(0), 9, fp(9)).is_err(), "no growth");
         // Exclusive gets release pages; once below target, puts work again.
@@ -1381,10 +1324,13 @@ mod tests {
     #[test]
     fn set_targets_ignores_unknown_vms() {
         let (mut h, _) = hv(4, 4);
-        h.set_targets(&[MmTarget {
-            vm_id: VmId(99),
-            mm_target: 1,
-        }]);
+        h.apply_targets(
+            1,
+            &[MmTarget {
+                vm_id: VmId(99),
+                mm_target: 1,
+            }],
+        );
         assert_eq!(h.target_of(VmId(99)), None);
         assert_eq!(h.set_target_calls(), 1);
     }

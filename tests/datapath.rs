@@ -133,7 +133,8 @@ fn targets_installed_through_the_tkm_rebalance_the_pool() {
     );
     // Slow reclaim trickles VM1's oldest pages to its swap device.
     let t1_pool = smartmem::tmem::key::PoolId(0);
-    let reclaimed = n.hyp.reclaim_over_target(t1_pool, 2);
+    let mut reclaimed = Vec::new();
+    n.hyp.reclaim_over_target_into(t1_pool, 2, &mut reclaimed);
     assert_eq!(reclaimed.len(), 2);
     k1.tmem_reclaimed(&reclaimed.iter().map(|&(o, i)| (o.0, i)).collect::<Vec<_>>());
     assert_eq!(n.hyp.tmem_used_by(VmId(1)), 6);
