@@ -19,23 +19,24 @@ fn mem_available_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// 64 VMs × 512 MiB = 32 GiB of simulated footprint must fit in 6 GiB of
-/// host memory (measured: ~1.2 GiB for the paging mix; the budget leaves
-/// slack for allocator and platform variance, while any O(footprint)
-/// regression — storing page bodies, cloning per-page state — lands far
-/// above it).
-const HOST_BUDGET_KIB: u64 = 6 * 1024 * 1024;
+/// 64 VMs × 512 MiB = 32 GiB of simulated footprint must fit in 1 GiB of
+/// host memory (measured: ~0.45 GiB for the paging mix with 16-byte page
+/// metadata and 8-byte frames, ~0.57 GiB with the wider 24/16-byte
+/// layout; the budget leaves slack for allocator and platform variance,
+/// while any O(footprint) regression — storing page bodies, cloning
+/// per-page state — lands far above it).
+const HOST_BUDGET_KIB: u64 = 1024 * 1024;
 
 #[test]
-#[ignore = "64-VM x 32 GiB cell (~1 min, needs multi-GiB host headroom); CI runs the slow suite via --ignored"]
+#[ignore = "64-VM x 32 GiB cell (~2 min in debug, needs ~2 GiB host headroom); CI runs the slow suite via --ignored"]
 fn fleet_64vm_32gib_footprint_stays_under_host_budget() {
     // Early skip on small hosts (e.g. a laptop running the slow suite):
     // the point is the budget assertion, not an OOM kill.
     match mem_available_kb() {
-        Some(avail) if avail >= 10 * 1024 * 1024 => {}
+        Some(avail) if avail >= 2 * 1024 * 1024 => {}
         Some(avail) => {
             eprintln!(
-                "skipping: only {} MiB available, need ~10 GiB headroom to \
+                "skipping: only {} MiB available, need ~2 GiB headroom to \
                  measure the budget safely",
                 avail / 1024
             );
@@ -67,6 +68,7 @@ fn fleet_64vm_32gib_footprint_stays_under_host_budget() {
     let m = measure(|| run_scenario(ScenarioKind::Scenario5(params), PolicyKind::Greedy, &cfg));
     let peak = peak_rss_kb().expect("Linux host (meminfo was readable above)");
     let simulated_kib = 64u64 * 512 * 1024;
+    eprintln!("peak RSS {} MiB", peak / 1024);
     assert!(
         m.value.events > 0,
         "cell must actually have run: {:?}",

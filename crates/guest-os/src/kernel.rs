@@ -47,13 +47,15 @@ enum PageLoc {
 }
 
 /// Sentinel for "no swap slot assigned".
-const NO_SLOT: u64 = u64::MAX;
+const NO_SLOT: u32 = u32::MAX;
 
 /// How many times a corrupt frontswap get is retried before the guest
 /// gives up, flushes the poisoned copy and zero-refills the page. Bounded
 /// so a stuck-corrupt page costs O(1) hypercalls per fault, never a loop.
 pub const TMEM_GET_RETRIES: u32 = 2;
 
+/// 16 bytes per virtual page: page tables are the one per-page host cost
+/// every workload pays, so slot and frame fields are packed to `u32`.
 #[derive(Debug, Clone, Copy)]
 struct PageMeta {
     loc: PageLoc,
@@ -63,12 +65,15 @@ struct PageMeta {
     /// Swap slot holding this page's disk copy (`NO_SLOT` when none).
     /// Slots are allocated in eviction order, as Linux's swap allocator
     /// does, so temporally-clustered evictions are physically adjacent.
-    slot: u64,
+    slot: u32,
 }
 
+/// One RAM frame; `Option<Frame>` is 8 bytes (the `bool`s give the niche).
 #[derive(Debug, Clone, Copy)]
 struct Frame {
-    vpage: u64,
+    /// The virtual page held; [`GuestKernel::alloc`] keeps every page
+    /// index within `u32`.
+    vpage: u32,
     /// Second-chance bit for the clock PFRA.
     referenced: bool,
     /// Written since load: eviction must write the page out.
@@ -152,12 +157,12 @@ pub struct GuestKernel {
     clock_hand: usize,
     /// Swap-slot allocator cursor (monotonic; slots model eviction-order
     /// physical adjacency, not reuse).
-    next_slot: u64,
+    next_slot: u32,
     /// Live slots → virtual page, ordered, for slot-window read-ahead.
-    slot_to_page: std::collections::BTreeMap<u64, u64>,
+    slot_to_page: std::collections::BTreeMap<u32, u32>,
     /// One past the last slot read from disk — a fault starting here is a
     /// sequential stream continuation.
-    next_seq_slot: u64,
+    next_seq_slot: u32,
     /// One past the last virtual page read from disk (VMA stream).
     next_seq_vpage: u64,
     stats: KernelStats,
@@ -176,7 +181,7 @@ impl GuestKernel {
             clock_hand: 0,
             next_slot: 0,
             slot_to_page: std::collections::BTreeMap::new(),
-            next_seq_slot: u64::MAX,
+            next_seq_slot: NO_SLOT,
             next_seq_vpage: u64::MAX,
             stats: KernelStats::default(),
         }
@@ -207,9 +212,14 @@ impl GuestKernel {
     }
 
     /// Allocate `len` pages of anonymous memory (lazy, like `mmap`):
-    /// returns the base page; nothing is faulted in yet.
+    /// returns the base page; nothing is faulted in yet. Panics, before
+    /// growing the page table, if the address space would pass `u32` pages.
     pub fn alloc(&mut self, len: u64) -> VirtPage {
         let base = self.pages.len() as u64;
+        assert!(
+            base.checked_add(len).is_some_and(|end| end <= 1 << 32),
+            "guest address space exceeds u32 pages"
+        );
         self.pages.extend(std::iter::repeat_n(
             PageMeta {
                 loc: PageLoc::Untouched,
@@ -316,7 +326,9 @@ impl GuestKernel {
                 let mut last_slot = slot;
                 if (batch.len() as u64) < window {
                     let room = window - batch.len() as u64;
-                    for (&s, &bvp) in self.slot_to_page.range(slot + 1..slot + room) {
+                    let end = slot.saturating_add(room as u32);
+                    for (&s, &bvp) in self.slot_to_page.range(slot + 1..end) {
+                        let bvp = u64::from(bvp);
                         if self.pages[bvp as usize].loc == PageLoc::OnDisk && !batch.contains(&bvp)
                         {
                             batch.push(bvp);
@@ -423,10 +435,7 @@ impl GuestKernel {
                 PageLoc::InTmem,
                 "hypervisor reclaimed a page the guest does not have in tmem"
             );
-            let slot = self.next_slot;
-            self.next_slot += 1;
-            self.pages[vp].slot = slot;
-            self.slot_to_page.insert(slot, vp as u64);
+            self.assign_slot(vp);
             self.pages[vp].loc = PageLoc::OnDisk;
             self.stats.reclaimed_pages += 1;
         }
@@ -486,6 +495,16 @@ impl GuestKernel {
         self.pages[vp].version = self.pages[vp].version.wrapping_add(1);
     }
 
+    /// Give page `vp` the next swap slot. Panics once every `u32` slot but
+    /// the `NO_SLOT` sentinel has been handed out.
+    fn assign_slot(&mut self, vp: usize) {
+        let slot = self.next_slot;
+        assert_ne!(slot, NO_SLOT, "swap slot counter overflowed u32");
+        self.next_slot += 1;
+        self.pages[vp].slot = slot;
+        self.slot_to_page.insert(slot, vp as u32);
+    }
+
     /// Drop a page's swap-slot mapping (write invalidation, free, or
     /// overwrite by a new write-out).
     fn release_slot(&mut self, vp: usize) {
@@ -494,6 +513,12 @@ impl GuestKernel {
             self.slot_to_page.remove(&slot);
             self.pages[vp].slot = NO_SLOT;
         }
+    }
+
+    /// Content version of `page`, for tests that compare load paths.
+    #[cfg(test)]
+    pub(crate) fn page_version(&self, page: VirtPage) -> u32 {
+        self.pages[page.0 as usize].version
     }
 
     fn fingerprint(&self, vp: u64) -> Fingerprint {
@@ -510,7 +535,7 @@ impl GuestKernel {
 
     fn install(&mut self, vp: usize, f: u32, dirty: bool, disk_copy: bool) {
         self.frames[f as usize] = Some(Frame {
-            vpage: vp as u64,
+            vpage: vp as u32,
             referenced: true,
             dirty,
             disk_copy,
@@ -602,10 +627,7 @@ impl GuestKernel {
             m.budget.charge_io(throttle);
         }
         self.release_slot(vp);
-        let slot = self.next_slot;
-        self.next_slot += 1;
-        self.pages[vp].slot = slot;
-        self.slot_to_page.insert(slot, vp as u64);
+        self.assign_slot(vp);
         self.stats.evictions_to_disk += 1;
         self.pages[vp].loc = PageLoc::OnDisk;
         self.frames[f as usize] = None;
@@ -665,6 +687,35 @@ mod tests {
 
     fn big_budget() -> StepBudget {
         StepBudget::new(SimDuration::from_secs(3600))
+    }
+
+    #[test]
+    fn page_tables_are_packed() {
+        assert_eq!(std::mem::size_of::<PageMeta>(), 16);
+        assert_eq!(std::mem::size_of::<Option<Frame>>(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "guest address space exceeds u32 pages")]
+    fn alloc_past_u32_pages_panics_before_growing() {
+        let (_rig, mut k) = Rig::new(100, 100);
+        k.alloc(1);
+        // One page past the limit: the assert fires before the page table
+        // grows, so this allocates nothing.
+        k.alloc(1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "swap slot counter overflowed u32")]
+    fn swap_slot_counter_overflow_panics() {
+        // Zero tmem target: every eviction takes a swap slot.
+        let (mut rig, mut k) = Rig::new(100, 0);
+        k.next_slot = NO_SLOT - 1;
+        let base = k.alloc(12);
+        let mut b = big_budget();
+        for i in 0..12 {
+            k.touch(base.offset(i), true, &mut rig.step(&mut b));
+        }
     }
 
     #[test]

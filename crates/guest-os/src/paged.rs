@@ -11,6 +11,11 @@
 //! inflates a logical 8-byte value to tens or hundreds of bytes of heap.
 //! Setting `stride` to the paper-observed bytes-per-element reproduces the
 //! application's memory footprint without inventing fake elements.
+//!
+//! A dataset generated host-side is handed over with
+//! [`PagedVec::from_vec`], so its elements live in host memory exactly
+//! once; the workload's load phase then write-touches each element
+//! ([`PagedVec::touch_write`]) to drive the same guest traffic as storing it.
 
 use crate::addr::VirtPage;
 use crate::kernel::GuestKernel;
@@ -32,13 +37,20 @@ impl<T: Clone + Default> PagedVec<T> {
     /// boundaries). Initializes host data to `T::default()` — the guest
     /// pages themselves stay untouched until accessed.
     pub fn new(kernel: &mut GuestKernel, len: usize, stride: usize) -> Self {
+        Self::from_vec(kernel, vec![T::default(); len], stride)
+    }
+
+    /// Allocate the same guest pages as [`new`](Self::new) would for
+    /// `data.len()` elements and adopt `data` as the host contents. The
+    /// guest pages stay untouched: the caller's load phase write-touches
+    /// each element, as it would when storing it.
+    pub fn from_vec(kernel: &mut GuestKernel, data: Vec<T>, stride: usize) -> Self {
         assert!(stride >= 1, "stride must be at least one byte");
-        let pages = Self::footprint_pages(len, stride);
-        let base = kernel.alloc(pages);
+        let base = kernel.alloc(Self::footprint_pages(data.len(), stride));
         PagedVec {
             base,
             stride,
-            data: vec![T::default(); len],
+            data,
             freed: false,
         }
     }
@@ -80,6 +92,13 @@ impl<T: Clone + Default> PagedVec<T> {
     pub fn set(&mut self, i: usize, v: T, kernel: &mut GuestKernel, m: &mut Machine<'_>) {
         self.touch_elem(i, true, kernel, m);
         self.data[i] = v;
+    }
+
+    /// Touch element `i`'s page(s) for writing and keep its value: the
+    /// guest-side cost of storing an element that [`from_vec`](Self::from_vec)
+    /// already placed in host memory.
+    pub fn touch_write(&mut self, i: usize, kernel: &mut GuestKernel, m: &mut Machine<'_>) {
+        self.touch_elem(i, true, kernel, m);
     }
 
     /// Read element `i` without simulating the memory access. For
@@ -200,6 +219,44 @@ mod tests {
         let mut m = machine!(r, &mut b);
         v.free(&mut r.kernel, &mut m);
         assert_eq!(r.hyp.tmem_used_by(VmId(1)), 0);
+    }
+
+    #[test]
+    fn from_vec_load_matches_new_plus_set() {
+        // 3000-byte elements straddle pages; 36 pages over 8 frames.
+        let data: Vec<u64> = (0..48).map(|i| i * 7 + 1).collect();
+        let load = |adopt: bool| {
+            let mut r = rig(8);
+            let mut b = StepBudget::new(SimDuration::from_secs(3600));
+            let mut v = if adopt {
+                PagedVec::from_vec(&mut r.kernel, data.clone(), 3000)
+            } else {
+                PagedVec::new(&mut r.kernel, data.len(), 3000)
+            };
+            for (i, &x) in data.iter().enumerate() {
+                let mut m = machine!(r, &mut b);
+                if adopt {
+                    v.touch_write(i, &mut r.kernel, &mut m);
+                } else {
+                    v.set(i, x, &mut r.kernel, &mut m);
+                }
+            }
+            let stats = *r.kernel.stats();
+            let loaded = b.clone();
+            let versions: Vec<u32> = (0..v.pages())
+                .map(|p| r.kernel.page_version(v.page_of(0).offset(p)))
+                .collect();
+            let values: Vec<u64> = (0..data.len())
+                .map(|i| v.get(i, &mut r.kernel, &mut machine!(r, &mut b)))
+                .collect();
+            v.free(&mut r.kernel, &mut machine!(r, &mut b));
+            (stats, loaded, versions, values)
+        };
+        let (stats, _, versions, values) = load(true);
+        assert!(stats.evictions_to_tmem > 0, "the load ran under pressure");
+        assert!(versions.iter().all(|&v| v > 0), "every page was written");
+        assert_eq!(values, data);
+        assert_eq!(load(true), load(false));
     }
 
     #[test]

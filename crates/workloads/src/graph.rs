@@ -96,8 +96,13 @@ impl GraphAnalyticsConfig {
 
 #[derive(Debug)]
 enum Phase {
+    /// Write-touch the CSR offsets in order. `offsets` and `targets` hold
+    /// the assembled graph until the first step hands each to its
+    /// [`PagedVec`].
     LoadOffsets {
         pos: usize,
+        offsets: Vec<u32>,
+        targets: Vec<u32>,
     },
     LoadTargets {
         pos: usize,
@@ -136,8 +141,6 @@ pub struct GraphAnalytics {
     rng: SplitMix64,
     /// Partition vertex ranges `[start, end)`, ~2 MiB of edges each.
     partitions: Vec<(u32, u32)>,
-    host_offsets: Vec<u32>,
-    host_targets: Vec<u32>,
     offsets: Option<PagedVec<u32>>,
     targets: Option<PagedVec<u32>>,
     cold: Option<PagedVec<u8>>,
@@ -158,21 +161,24 @@ fn shuffled(rng: &mut SplitMix64, n: usize) -> Vec<u32> {
 }
 
 impl GraphAnalytics {
-    /// Build the workload (graph synthesis and CSR assembly happen
-    /// host-side here; the guest-visible load is the `Load*` phases).
+    /// Build the workload. Graph synthesis, CSR assembly and partitioning
+    /// happen host-side here; the CSR arrays are moved, not copied, into
+    /// their guest-paged vectors on the first step, so each is held once.
+    /// The guest-visible load is the `Load*` phases, which write-touch
+    /// every offset and target in order.
     pub fn new(config: GraphAnalyticsConfig) -> Self {
         assert!(config.iterations > 0);
         assert!((0.0..1.0).contains(&(config.damping - f64::EPSILON)));
         let edges = powerlaw_edges(config.seed, config.n_nodes, config.n_edges);
-        let (host_offsets, host_targets) = to_csr(config.n_nodes, &edges);
+        let (offsets, targets) = to_csr(config.n_nodes, &edges);
         // Carve vertex ranges whose edge spans are ~one partition each.
         let edges_per_part = (PARTITION_EDGE_BYTES / config.edge_stride as u64).max(1) as u32;
         let mut partitions = Vec::new();
         let mut start = 0u32;
-        while (start as usize) < host_offsets.len() - 1 {
-            let limit = host_offsets[start as usize].saturating_add(edges_per_part);
+        while (start as usize) < offsets.len() - 1 {
+            let limit = offsets[start as usize].saturating_add(edges_per_part);
             let mut end = start + 1;
-            while (end as usize) < host_offsets.len() - 1 && host_offsets[end as usize] < limit {
+            while (end as usize) < offsets.len() - 1 && offsets[end as usize] < limit {
                 end += 1;
             }
             partitions.push((start, end));
@@ -188,14 +194,16 @@ impl GraphAnalytics {
             input: InputReader::new(config.n_edges as u64, 8),
             pause: Pause::default(),
             config,
-            host_offsets,
-            host_targets,
             offsets: None,
             targets: None,
             cold: None,
             ranks: None,
             new_ranks: None,
-            phase: Phase::LoadOffsets { pos: 0 },
+            phase: Phase::LoadOffsets {
+                pos: 0,
+                offsets,
+                targets,
+            },
             milestones: Vec::new(),
             rank_sum: None,
         }
@@ -246,13 +254,20 @@ impl Workload for GraphAnalytics {
                 return StepOutcome::Runnable;
             }
             match self.phase {
-                Phase::LoadOffsets { ref mut pos } => {
+                Phase::LoadOffsets {
+                    ref mut pos,
+                    ref mut offsets,
+                    ref mut targets,
+                } => {
                     if self.offsets.is_none() {
-                        self.offsets =
-                            Some(PagedVec::new(kernel, n + 1, self.config.offset_stride));
-                        self.targets = Some(PagedVec::new(
+                        self.offsets = Some(PagedVec::from_vec(
                             kernel,
-                            self.host_targets.len(),
+                            std::mem::take(offsets),
+                            self.config.offset_stride,
+                        ));
+                        self.targets = Some(PagedVec::from_vec(
+                            kernel,
+                            std::mem::take(targets),
                             self.config.edge_stride,
                         ));
                         self.ranks = Some(PagedVec::new(kernel, n, self.config.rank_stride));
@@ -263,19 +278,19 @@ impl Workload for GraphAnalytics {
                         if m.budget.exhausted() {
                             return StepOutcome::Runnable;
                         }
-                        offsets.set(*pos, self.host_offsets[*pos], kernel, m);
+                        offsets.touch_write(*pos, kernel, m);
                         *pos += 1;
                     }
                     self.phase = Phase::LoadTargets { pos: 0 };
                 }
                 Phase::LoadTargets { ref mut pos } => {
                     let targets = self.targets.as_mut().expect("allocated in LoadOffsets");
-                    while *pos < self.host_targets.len() {
+                    while *pos < targets.len() {
                         if m.budget.exhausted() {
                             return StepOutcome::Runnable;
                         }
                         self.input.consume(m);
-                        targets.set(*pos, self.host_targets[*pos], kernel, m);
+                        targets.touch_write(*pos, kernel, m);
                         *pos += 1;
                     }
                     self.phase = Phase::LoadCold { pos: 0 };

@@ -135,8 +135,11 @@ impl InMemoryAnalyticsConfig {
 
 #[derive(Debug)]
 enum Phase {
+    /// Write-touch the ratings in order. `data` holds the synthesized set
+    /// until the first step hands it to the ratings [`PagedVec`].
     Load {
         pos: usize,
+        data: Vec<Rating>,
     },
     /// Write the cold staging region (never read again).
     LoadCold {
@@ -169,7 +172,6 @@ pub struct InMemoryAnalytics {
     config: InMemoryAnalyticsConfig,
     input: InputReader,
     pause: Pause,
-    host_ratings: Vec<Rating>,
     ratings: Option<PagedVec<Rating>>,
     cold: Option<PagedVec<u8>>,
     user_f: Option<PagedVec<FactorRow>>,
@@ -181,11 +183,13 @@ pub struct InMemoryAnalytics {
 }
 
 impl InMemoryAnalytics {
-    /// Build the workload (dataset synthesis happens host-side here; the
-    /// guest-visible load is the `Load` phase).
+    /// Build the workload. The rating set is synthesized host-side here and
+    /// moved, not copied, into the guest-paged ratings vector on the first
+    /// step, so it is held once; the guest-visible load is the `Load`
+    /// phase, which write-touches every rating in order.
     pub fn new(config: InMemoryAnalyticsConfig) -> Self {
         assert!(config.epochs > 0, "at least one epoch");
-        let host_ratings = movielens_ratings(
+        let data = movielens_ratings(
             config.seed,
             config.n_users,
             config.n_items,
@@ -197,12 +201,11 @@ impl InMemoryAnalytics {
             input: InputReader::new(config.n_ratings as u64, 16),
             pause: Pause::default(),
             config,
-            host_ratings,
             ratings: None,
             cold: None,
             user_f: None,
             item_f: None,
-            phase: Phase::Load { pos: 0 },
+            phase: Phase::Load { pos: 0, data },
             milestones: Vec::new(),
             rmse: None,
         }
@@ -248,11 +251,14 @@ impl Workload for InMemoryAnalytics {
                 return StepOutcome::Runnable;
             }
             match self.phase {
-                Phase::Load { ref mut pos } => {
+                Phase::Load {
+                    ref mut pos,
+                    ref mut data,
+                } => {
                     if self.ratings.is_none() {
-                        self.ratings = Some(PagedVec::new(
+                        self.ratings = Some(PagedVec::from_vec(
                             kernel,
-                            self.config.n_ratings,
+                            std::mem::take(data),
                             self.config.rating_stride,
                         ));
                         self.user_f = Some(PagedVec::new(
@@ -267,12 +273,12 @@ impl Workload for InMemoryAnalytics {
                         ));
                     }
                     let ratings = self.ratings.as_mut().expect("allocated above");
-                    while *pos < self.host_ratings.len() {
+                    while *pos < ratings.len() {
                         if m.budget.exhausted() {
                             return StepOutcome::Runnable;
                         }
                         self.input.consume(m);
-                        ratings.set(*pos, self.host_ratings[*pos], kernel, m);
+                        ratings.touch_write(*pos, kernel, m);
                         *pos += 1;
                     }
                     self.phase = Phase::LoadCold { pos: 0 };
